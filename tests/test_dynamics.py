@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from qbaker import (
     position_distribution,
     random_state,
 )
+from qbaker.io import echo_records_to_csv
 
 
 # --- iteration -------------------------------------------------------------
@@ -270,3 +273,26 @@ def test_echo_mean_fidelity_decreases_with_delta():
     for lo, hi in ((0, 1), (1, 2)):
         slack = 3.0 * np.hypot(errs[lo], errs[hi])
         assert means[hi] <= means[lo] + slack
+
+
+# sha256 of the echo CSV, pinned from the per-member implementation. Covers
+# L=1 and L=2 (single-amplitude kernel runs), the benchmark's ensemble shape,
+# zero kicks, zero steps and L=8.
+GOLDEN_ECHO_CSV = [
+    ((1, 20, 0.3, 50, 11), "e4d0e423961501f03a9b264892432b68b1c890977e6fdfe6c5e970e6fc1fa5f2"),
+    ((2, 15, 0.2, 20, 12), "149d97340437114d2043e2f4c77a2a833fd66e4a84fb2c9c1739b0cbc2dd0c59"),
+    ((3, 20, 0.05, 200, 7), "526aeda9bd5ba0ad6f812998dbde9f125f41274dd3e3aa8aca4264d0a967affd"),
+    ((5, 15, 0.1, 30, 2024), "37ce826943779d3b6157a5fdea0497d28362d7d200229a0879027a29cf5fb2b6"),
+    ((8, 10, 0.0, 12, 99), "0da8c5318d2ba2c569581c773ae86ee786eb650092e9321e20ded454f482e73f"),
+    ((8, 6, 0.05, 5, 3), "8d8e1c320e41fb7fb615ff57e2ab860b8f815c42b2622d9fcf154a373dd15db1"),
+    ((4, 0, 0.1, 3, 5), "40c7a0e02fb6219a30cf4fd95b610f8e4cb0a742d2365e87e7df19ce1c505378"),
+]
+
+
+@pytest.mark.parametrize(
+    "params, digest", GOLDEN_ECHO_CSV,
+    ids=["L{}-steps{}-delta{}-M{}-seed{}".format(*p) for p, _ in GOLDEN_ECHO_CSV],
+)
+def test_echo_csv_golden_bytes(params, digest):
+    csv = echo_records_to_csv(loschmidt_echo(EchoConfig(*params)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
