@@ -6,6 +6,7 @@ and stay behind the usual size guard.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from .baker import baker_circuit, baker_matrix
 from .errors import DomainError
 from .gates import _apply_circuit_array
 from .qft import qft_circuit
-from .state import StateVector
+from .state import StateVector, random_state
 
 DIST_NORM_TOL = 1e-6
 
@@ -31,33 +32,69 @@ def iterate(state: StateVector, steps: int, *, copy: bool = True) -> StateVector
     return StateVector(state.qubits, arr)
 
 
-def position_distribution(state: StateVector) -> np.ndarray:
-    """|psi_j|^2 over position-basis indices."""
-    p = np.abs(state.amplitudes) ** 2
-    if abs(p.sum() - 1.0) > DIST_NORM_TOL:
-        raise DomainError(f"state is not normalized (total probability {p.sum()!r})")
+def _amplitude_columns(state: StateVector | np.ndarray) -> tuple[int, np.ndarray]:
+    """Qubit count and amplitudes of a state, or of a (D, M) array whose
+    columns are states."""
+    if isinstance(state, StateVector):
+        return state.qubits, state.amplitudes
+    arr = np.asarray(state)
+    dim = arr.shape[0] if arr.ndim == 2 else 0
+    if dim < 2 or dim & (dim - 1) or arr.dtype != np.complex128:
+        raise DomainError(f"need a (2^L, M) complex128 amplitude array, got {arr.shape} {arr.dtype}")
+    return dim.bit_length() - 1, arr
+
+
+def _checked_probabilities(amps: np.ndarray) -> np.ndarray:
+    p = np.abs(amps) ** 2
+    total = p.sum(axis=0)
+    bad = np.abs(total - 1.0) > DIST_NORM_TOL
+    if np.any(bad):
+        raise DomainError(
+            f"state is not normalized (total probability {np.extract(bad, total)[0]!r})"
+        )
     return p
 
 
-def momentum_distribution(state: StateVector) -> np.ndarray:
+def position_distribution(state: StateVector | np.ndarray) -> np.ndarray:
+    """|psi_j|^2 over position-basis indices.
+
+    `state` may also be a (D, M) array of M states as columns; the result
+    then holds one distribution per column, each checked for normalization.
+    """
+    return _checked_probabilities(_amplitude_columns(state)[1])
+
+
+def momentum_distribution(state: StateVector | np.ndarray) -> np.ndarray:
     """Probabilities in the momentum basis, via the Fourier gate network.
 
     The gate path keeps this O(L^2 D), so it works far beyond the dense
-    guard.
+    guard. A (D, M) array of states as columns goes through the network in
+    one pass and gives one checked distribution per column.
     """
-    arr = state.amplitudes.copy()
-    arr = _apply_circuit_array(arr, qft_circuit(state.qubits))
-    p = np.abs(arr) ** 2
-    if abs(p.sum() - 1.0) > DIST_NORM_TOL:
-        raise DomainError(f"state is not normalized (total probability {p.sum()!r})")
-    return p
+    qubits, amps = _amplitude_columns(state)
+    return _checked_probabilities(_apply_circuit_array(amps.copy(), qft_circuit(qubits)))
 
 
-def distribution_entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats; zero entries contribute zero."""
+def distribution_entropy(p: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in nats; zero entries contribute zero.
+
+    A 2-D `p` holds one distribution per row and gives one entropy per row,
+    bitwise equal to the 1-D result for that row.
+    """
     p = np.asarray(p, dtype=np.float64)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    if p.ndim != 2:
+        nz = p[p > 0.0]
+        return float(-(nz * np.log(nz)).sum())
+    p = np.ascontiguousarray(p)
+    # Rows of positive entries sum along the contiguous axis exactly as a
+    # 1-D array does; rows with entries to drop take the 1-D path.
+    full = (p > 0.0).all(axis=1)
+    out = np.empty(p.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[full] = -(p[full] * np.log(p[full])).sum(axis=1)
+    for i in np.flatnonzero(~full):
+        out[i] = distribution_entropy(p[i])
+    return out
 
 
 def form_factor(qubits: int, n_max: int, *, max_qubits: int = 10) -> np.ndarray:
@@ -74,18 +111,20 @@ def form_factor(qubits: int, n_max: int, *, max_qubits: int = 10) -> np.ndarray:
     return out
 
 
+def _kick(arr: np.ndarray, qubits: int, angles) -> None:
+    # angles[k] is one angle for qubit k, or one per column of arr.
+    for k in range(qubits):
+        kernels.phase_on_one(arr, qubits, k, angles[k])
+
+
 def phase_kick(state: StateVector, angles: np.ndarray, *, copy: bool = True) -> StateVector:
     """Apply diag(1, e^{i angles[k]}) on every qubit k (diagonal, unitary)."""
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (state.qubits,):
         raise DomainError(f"need one angle per qubit, got shape {angles.shape}")
     arr = state.amplitudes.copy() if copy else state.amplitudes
-    for k in range(state.qubits):
-        kernels.phase_on_one(arr, state.qubits, k, float(angles[k]))
+    _kick(arr, state.qubits, [float(a) for a in angles])
     return StateVector(state.qubits, arr)
-
-
-PERTURBATION_KINDS = ("random-phase-kick",)
 
 
 @dataclass(frozen=True)
@@ -97,21 +136,18 @@ class EchoConfig:
     delta: float
     ensemble: int
     seed: int
-    perturbation_kind: str = "random-phase-kick"
 
     def __post_init__(self) -> None:
         if self.qubits < 1:
             raise DomainError(f"qubit count must be >= 1, got {self.qubits}")
         if self.steps < 0:
             raise DomainError(f"step count must be >= 0, got {self.steps}")
-        if self.delta < 0.0:
-            raise DomainError(f"perturbation strength must be >= 0, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise DomainError(f"perturbation strength must be finite and >= 0, got {self.delta}")
         if self.ensemble < 1:
             raise DomainError(f"ensemble size must be >= 1, got {self.ensemble}")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if self.perturbation_kind not in PERTURBATION_KINDS:
-            raise DomainError(f"unknown perturbation kind {self.perturbation_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -129,70 +165,81 @@ class TrajectoryRecord:
     pert_norm: np.ndarray
 
 
-def _member_rng(seed: int, member: int) -> np.random.Generator:
-    # Counter-based generator; spawn keys keep member streams disjoint from
-    # the initial-state stream (key 0) without hashing tricks.
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(1, member))
+def _philox(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    # Counter-based generator; spawn keys keep the member streams (1, member)
+    # disjoint from the initial-state stream (0,) without hashing tricks.
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
 
 
 def echo_initial_state(cfg: EchoConfig) -> StateVector:
     """Seed-derived random normalized state shared by all members."""
-    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
-    rng = np.random.Generator(np.random.Philox(ss))
-    dim = 1 << cfg.qubits
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    amps /= np.linalg.norm(amps)
-    return StateVector(cfg.qubits, amps)
+    return random_state(cfg.qubits, _philox(cfg.seed, (0,)))
 
 
-def _overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    # Normalized so that bitwise-identical arrays give exactly 1.0.
-    z = np.vdot(a, b)
-    na = np.vdot(a, a).real
-    nb = np.vdot(b, b).real
-    return float((z.real * z.real + z.imag * z.imag) / (na * nb))
+# Members evolve together in batches of at most this many amplitudes (64 MiB
+# of complex128); each batch after the first recomputes the reference.
+ECHO_BATCH_AMPLITUDES = 1 << 22
 
 
 def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
     """Fidelity decay under per-step random phase kicks.
 
-    Each member evolves the shared initial state twice: once unperturbed
-    and once with independent single-qubit phase kicks (angles uniform in
-    [-delta, +delta], drawn from the member's own stream) after every map
-    step. Records fidelity between the two trajectories plus position and
-    momentum entropies of the perturbed state. Output is bitwise
-    reproducible from the config.
+    Each member evolves the shared initial state with independent
+    single-qubit phase kicks (angles uniform in [-delta, +delta], drawn in
+    step order from the member's own stream) after every map step, and is
+    compared with the unperturbed trajectory. Records fidelity between the
+    two plus position and momentum entropies of the perturbed state.
+
+    The unperturbed trajectory is evolved once, as a (D,) state, and the
+    members together as the columns of one (D, M) array. Every column gets
+    the bits it would get evolved on its own, so the output is bitwise
+    reproducible from the config and independent of how members are batched.
     """
-    circuit = baker_circuit(cfg.qubits)
-    psi0 = echo_initial_state(cfg)
-    records = []
-    for member in range(cfg.ensemble):
-        rng = _member_rng(cfg.seed, member)
-        ref = psi0.amplitudes.copy()
-        pert = psi0.amplitudes.copy()
-        n = cfg.steps + 1
-        fid = np.empty(n)
-        pos_ent = np.empty(n)
-        mom_ent = np.empty(n)
-        ref_norm = np.empty(n)
-        pert_norm = np.empty(n)
-
-        def record(t: int) -> None:
-            fid[t] = _overlap_fidelity(ref, pert)
-            pert_state = StateVector(cfg.qubits, pert)
-            pos_ent[t] = distribution_entropy(position_distribution(pert_state))
-            mom_ent[t] = distribution_entropy(momentum_distribution(pert_state))
-            ref_norm[t] = np.linalg.norm(ref)
-            pert_norm[t] = np.linalg.norm(pert)
-
-        record(0)
-        for step in range(1, n):
-            ref = _apply_circuit_array(ref, circuit)
-            pert = _apply_circuit_array(pert, circuit)
-            angles = rng.uniform(-cfg.delta, cfg.delta, cfg.qubits)
-            for k in range(cfg.qubits):
-                kernels.phase_on_one(pert, cfg.qubits, k, float(angles[k]))
-            record(step)
-        records.append(TrajectoryRecord(fid, pos_ent, mom_ent, ref_norm, pert_norm))
+    size = max(1, ECHO_BATCH_AMPLITUDES >> cfg.qubits)
+    records: list[TrajectoryRecord] = []
+    for first in range(0, cfg.ensemble, size):
+        records += _echo_batch(cfg, range(first, min(first + size, cfg.ensemble)))
     return records
+
+
+def _echo_batch(cfg: EchoConfig, members: range) -> list[TrajectoryRecord]:
+    qubits, count, n = cfg.qubits, len(members), cfg.steps + 1
+    circuit = baker_circuit(qubits)
+    ref = echo_initial_state(cfg).amplitudes.copy()
+    pert = np.repeat(ref[:, None], count, axis=1)
+    # kicks[step - 1, k] holds qubit k's angle for every member at that step.
+    kicks = np.stack(
+        [_philox(cfg.seed, (1, member)).uniform(-cfg.delta, cfg.delta, (cfg.steps, qubits))
+         for member in members],
+        axis=-1,
+    )
+    fid = np.empty((count, n))
+    pos_ent = np.empty((count, n))
+    mom_ent = np.empty((count, n))
+    ref_norm = np.empty(n)
+    pert_norm = np.empty((count, n))
+
+    def record(t: int) -> None:
+        # Fidelities and norms reduce each member's contiguous row, as a
+        # (D,) state does.
+        rows = np.ascontiguousarray(pert.T)
+        ref_sq = np.vdot(ref, ref).real
+        ref_norm[t] = np.linalg.norm(ref)
+        for i, row in enumerate(rows):
+            z = np.vdot(ref, row)
+            fid[i, t] = (z.real * z.real + z.imag * z.imag) / (ref_sq * np.vdot(row, row).real)
+            pert_norm[i, t] = np.linalg.norm(row)
+        pos_ent[:, t] = distribution_entropy(position_distribution(pert).T)
+        mom_ent[:, t] = distribution_entropy(momentum_distribution(pert).T)
+
+    record(0)
+    for step in range(1, n):
+        ref = _apply_circuit_array(ref, circuit)
+        pert = _apply_circuit_array(pert, circuit)
+        _kick(pert, qubits, kicks[step - 1])
+        record(step)
+    return [
+        TrajectoryRecord(fid[i], pos_ent[i], mom_ent[i], ref_norm.copy(), pert_norm[i])
+        for i in range(count)
+    ]

@@ -2,9 +2,11 @@
 
 Each kernel touches every amplitude a constant number of times (O(D) per
 gate) and never forms a dense matrix. Arrays may be shape (D,) for a state
-or (D, M) for M columns sharing the transformation; the leading axis is
-the basis index and C-order layout lets every kernel reshape it into
-(high bits, target bit, rest) blocks.
+or (D, M) for M columns sharing the transformation (only `phase_on_one`
+also takes one angle per column); the leading axis is the basis index and
+C-order layout lets every kernel reshape it into (high bits, target bit,
+rest) blocks. Each column of a (D, M) array gets the bits it would get as
+a (D,) state on its own.
 
 Kernels can partition the leading blocks across a shared thread pool for
 large systems. Every element is written exactly once, by the same formula
@@ -105,10 +107,11 @@ def cond_phase(arr: np.ndarray, qubits: int, m: int, n: int, angle: float) -> No
     hi = 1 << (qubits - 1 - n)
     mid = 1 << (n - 1 - m)
     rest = arr.size >> (qubits - m)
+    cols = arr.size >> qubits
     view = arr.reshape(hi, 2, mid, 2, rest)
 
     def block(b0: int, b1: int) -> None:
-        view[b0:b1, 1, :, 1, :] *= phase
+        _multiply(view[b0:b1, 1, :, 1, :], phase, cols)
 
     _run_blocks(block, hi, qubits)
 
@@ -136,18 +139,45 @@ def swap_bits(arr: np.ndarray, qubits: int, m: int, n: int) -> None:
     _run_blocks(block, hi, qubits)
 
 
-def phase_on_one(arr: np.ndarray, qubits: int, m: int, angle: float) -> None:
-    """Apply diag(1, e^{i*angle}) on qubit m."""
+def phase_on_one(arr: np.ndarray, qubits: int, m: int, angle: float | np.ndarray) -> None:
+    """Apply diag(1, e^{i*angle}) on qubit m.
+
+    `angle` is one float for every column, or a 1-D array holding one angle
+    per column of a (D, M) array.
+    """
     _check_label(qubits, m)
-    phase = complex(math.cos(angle), math.sin(angle))
     hi = 1 << (qubits - 1 - m)
-    rest = arr.size >> (qubits - m)
-    view = arr.reshape(hi, 2, rest)
+    cols = arr.size >> qubits
+    if np.ndim(angle) == 0:
+        phase = complex(math.cos(angle), math.sin(angle))
+        view = arr.reshape(hi, 2, arr.size >> (qubits - m))
+    else:
+        if np.shape(angle) != (cols,) or arr.ndim != 2:
+            raise DomainError(f"need one angle per column of {arr.shape}, got {np.shape(angle)}")
+        phase = np.array([complex(math.cos(a), math.sin(a)) for a in angle])
+        view = arr.reshape(hi, 2, 1 << m, cols)
 
     def block(b0: int, b1: int) -> None:
-        view[b0:b1, 1, :] *= phase
+        _multiply(view[b0:b1, 1], phase, cols)
 
     _run_blocks(block, hi, qubits)
+
+
+def _multiply(target: np.ndarray, phase: complex | np.ndarray, cols: int) -> None:
+    """target *= phase, rounded as if each of the `cols` columns were alone.
+
+    numpy's vector loop for complex products may fuse multiply-adds, while a
+    lone element takes the plain scalar loop, whose last bit can differ. So
+    when the product touches one amplitude per column, it is written out in
+    real arithmetic, which rounds like the lone element does.
+    """
+    if target.size != cols or cols == 1:
+        target *= phase
+        return
+    re, im = target.real.copy(), target.imag.copy()
+    p_re, p_im = np.real(phase), np.imag(phase)
+    target.real = re * p_re - im * p_im
+    target.imag = re * p_im + im * p_re
 
 
 def bit_permutation_indices(qubits: int, perm: tuple[int, ...]) -> np.ndarray:

@@ -153,6 +153,18 @@ def test_echo_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest.params["delta"] == 0.05
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_echo_non_finite_delta_is_one_line_error(tmp_path, capsys, delta):
+    out = tmp_path / "echo.csv"
+    code, stdout, err = run(
+        capsys, "echo", "--qubits", "3", "--steps", "2", "--delta", delta,
+        "--ensemble", "2", "--seed", "1", "--out", str(out),
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
     first = tmp_path / "a.csv"
     code, _, _ = run(

@@ -114,6 +114,44 @@ def test_entropy_of_uniform_is_log_d():
     assert distribution_entropy(np.full(8, 1 / 8)) == pytest.approx(np.log(8), abs=1e-12)
 
 
+@pytest.mark.parametrize("qubits", [1, 2, 3, 6])
+def test_distributions_of_columns_match_each_state_bitwise(qubits):
+    states = [random_state(qubits, seed) for seed in range(4)]
+    batch = np.stack([s.amplitudes for s in states], axis=1)
+    pos, mom = position_distribution(batch), momentum_distribution(batch)
+    assert pos.shape == mom.shape == batch.shape
+    for c, s in enumerate(states):
+        assert np.array_equal(pos[:, c], position_distribution(s))
+        assert np.array_equal(mom[:, c], momentum_distribution(s))
+
+
+def test_column_distributions_check_every_column():
+    batch = np.stack([random_state(3, 0).amplitudes, random_state(3, 1).amplitudes * 2], axis=1)
+    for dist in (position_distribution, momentum_distribution):
+        with pytest.raises(DomainError, match="not normalized"):
+            dist(batch)
+
+
+@pytest.mark.parametrize("shape", [(8,), (6, 2), (1, 3), (8, 2, 2)])
+def test_column_distributions_reject_bad_shapes(shape):
+    with pytest.raises(DomainError):
+        position_distribution(np.zeros(shape, dtype=complex))
+
+
+def test_entropy_of_rows_matches_each_row_bitwise():
+    rng = np.random.default_rng(8)
+    p = rng.random((6, 16))
+    p /= p.sum(axis=1, keepdims=True)
+    p[1, 3] = 0.0       # zero entries are dropped ...
+    p[2, :5] = 0.0
+    p[3, 7] = np.nan    # ... and so are NaN entries, as on the 1-D path
+    p[4, 2] = -0.25
+    rows = distribution_entropy(p)
+    assert rows.shape == (6,)
+    for i in range(6):
+        assert rows[i] == distribution_entropy(p[i])
+
+
 # --- form factor -----------------------------------------------------------
 
 def test_form_factor_one_qubit_first_value_vanishes():
@@ -198,8 +236,12 @@ def test_echo_config_validation():
         EchoConfig(2, 1, 0.1, 0, 0)
     with pytest.raises(DomainError):
         EchoConfig(2, 1, 0.1, 1, -5)
-    with pytest.raises(DomainError):
-        EchoConfig(2, 1, 0.1, 1, 0, perturbation_kind="depolarize")
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+def test_echo_config_rejects_non_finite_delta(delta):
+    with pytest.raises(DomainError, match="finite"):
+        EchoConfig(2, 1, delta, 1, 0)
 
 
 def test_echo_zero_delta_fidelity_exactly_one():
@@ -287,6 +329,14 @@ GOLDEN_ECHO_CSV = [
     ((8, 6, 0.05, 5, 3), "8d8e1c320e41fb7fb615ff57e2ab860b8f815c42b2622d9fcf154a373dd15db1"),
     ((4, 0, 0.1, 3, 5), "40c7a0e02fb6219a30cf4fd95b610f8e4cb0a742d2365e87e7df19ce1c505378"),
 ]
+
+
+def test_echo_bytes_independent_of_batching(monkeypatch):
+    # Two members per batch: every batch re-evolves the reference.
+    params, digest = GOLDEN_ECHO_CSV[3]
+    monkeypatch.setattr("qbaker.dynamics.ECHO_BATCH_AMPLITUDES", 2 << params[0])
+    csv = echo_records_to_csv(loschmidt_echo(EchoConfig(*params)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,37 @@ def test_matrix_and_vector_paths_agree():
         assert np.linalg.norm(cols[:, c] - col) <= 1e-14
 
 
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("qubits", [1, 2, 3, 5])
+def test_batched_kernels_match_column_by_column_bitwise(qubits, cols):
+    # A (D, M) array must give every column exactly the bits it gets as a
+    # (D,) state. At L=1 (phase_on_one) and L=2 (cond_phase) a (D,) state
+    # multiplies a single amplitude, which numpy rounds differently from a
+    # longer run; random angles over several draws make that show.
+    rng = np.random.default_rng(100 * qubits + cols)
+    dim = 1 << qubits
+    pairs = [(m, n) for m in range(qubits) for n in range(m + 1, qubits)]
+    for _ in range(16):
+        batch = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+        cases = [(hadamard, (m,)) for m in range(qubits)]
+        cases += [(cond_phase, (m, n, rng.uniform(-np.pi, np.pi))) for m, n in pairs]
+        cases += [(swap_bits, pair) for pair in pairs]
+        cases += [(phase_on_one, (m, rng.uniform(-np.pi, np.pi, cols))) for m in range(qubits)]
+        for kernel, args in cases:
+            got = batch.copy()
+            kernel(got, qubits, *args)
+            for c in range(cols):
+                col = batch[:, c].copy()
+                col_args = args[:-1] + (float(args[-1][c]),) if kernel is phase_on_one else args
+                kernel(col, qubits, *col_args)
+                assert np.array_equal(got[:, c], col), (kernel.__name__, args, c)
+
+
+def test_phase_on_one_needs_one_angle_per_column():
+    with pytest.raises(DomainError):
+        phase_on_one(np.ones((4, 3), dtype=complex), 2, 0, np.zeros(2))
+
+
 def test_thread_count_validation():
     with pytest.raises(DomainError):
         set_num_threads(0)
