@@ -47,7 +47,7 @@ def _amplitude_columns(state: StateVector | np.ndarray) -> tuple[int, np.ndarray
 def _checked_probabilities(amps: np.ndarray) -> np.ndarray:
     p = np.abs(amps) ** 2
     total = p.sum(axis=0)
-    bad = np.abs(total - 1.0) > DIST_NORM_TOL
+    bad = ~(np.abs(total - 1.0) <= DIST_NORM_TOL)  # NaN totals fail too
     if np.any(bad):
         raise DomainError(
             f"state is not normalized (total probability {np.extract(bad, total)[0]!r})"
@@ -90,8 +90,8 @@ def distribution_entropy(p: np.ndarray) -> float | np.ndarray:
     # 1-D array does; rows with entries to drop take the 1-D path.
     full = (p > 0.0).all(axis=1)
     out = np.empty(p.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[full] = -(p[full] * np.log(p[full])).sum(axis=1)
+    rows = p[full]
+    out[full] = -(rows * np.log(rows)).sum(axis=1)
     for i in np.flatnonzero(~full):
         out[i] = distribution_entropy(p[i])
     return out
@@ -123,7 +123,7 @@ def phase_kick(state: StateVector, angles: np.ndarray, *, copy: bool = True) -> 
     if angles.shape != (state.qubits,):
         raise DomainError(f"need one angle per qubit, got shape {angles.shape}")
     arr = state.amplitudes.copy() if copy else state.amplitudes
-    _kick(arr, state.qubits, [float(a) for a in angles])
+    _kick(arr, state.qubits, angles)
     return StateVector(state.qubits, arr)
 
 
@@ -209,11 +209,10 @@ def _echo_batch(cfg: EchoConfig, members: range) -> list[TrajectoryRecord]:
     ref = echo_initial_state(cfg).amplitudes.copy()
     pert = np.repeat(ref[:, None], count, axis=1)
     # kicks[step - 1, k] holds qubit k's angle for every member at that step.
-    kicks = np.stack(
-        [_philox(cfg.seed, (1, member)).uniform(-cfg.delta, cfg.delta, (cfg.steps, qubits))
-         for member in members],
-        axis=-1,
-    )
+    kicks = np.empty((cfg.steps, qubits, count))
+    for i, member in enumerate(members):
+        kicks[:, :, i] = _philox(cfg.seed, (1, member)).uniform(
+            -cfg.delta, cfg.delta, (cfg.steps, qubits))
     fid = np.empty((count, n))
     pos_ent = np.empty((count, n))
     mom_ent = np.empty((count, n))

@@ -152,7 +152,7 @@ def phase_on_one(arr: np.ndarray, qubits: int, m: int, angle: float | np.ndarray
         phase = complex(math.cos(angle), math.sin(angle))
         view = arr.reshape(hi, 2, arr.size >> (qubits - m))
     else:
-        if np.shape(angle) != (cols,) or arr.ndim != 2:
+        if np.shape(angle) != (cols,):
             raise DomainError(f"need one angle per column of {arr.shape}, got {np.shape(angle)}")
         phase = np.array([complex(math.cos(a), math.sin(a)) for a in angle])
         view = arr.reshape(hi, 2, 1 << m, cols)

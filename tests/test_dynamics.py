@@ -125,6 +125,14 @@ def test_distributions_of_columns_match_each_state_bitwise(qubits):
         assert np.array_equal(mom[:, c], momentum_distribution(s))
 
 
+def test_distribution_rejects_nan_amplitudes():
+    s = basis_state(2, 0)
+    bad = type(s)(2, np.array([np.nan, 0, 0, 0], dtype=complex))
+    for dist in (position_distribution, momentum_distribution):
+        with pytest.raises(DomainError, match="not normalized"):
+            dist(bad)
+
+
 def test_column_distributions_check_every_column():
     batch = np.stack([random_state(3, 0).amplitudes, random_state(3, 1).amplitudes * 2], axis=1)
     for dist in (position_distribution, momentum_distribution):
@@ -236,12 +244,9 @@ def test_echo_config_validation():
         EchoConfig(2, 1, 0.1, 0, 0)
     with pytest.raises(DomainError):
         EchoConfig(2, 1, 0.1, 1, -5)
-
-
-@pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
-def test_echo_config_rejects_non_finite_delta(delta):
-    with pytest.raises(DomainError, match="finite"):
-        EchoConfig(2, 1, delta, 1, 0)
+    for delta in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="finite"):
+            EchoConfig(2, 1, delta, 1, 0)
 
 
 def test_echo_zero_delta_fidelity_exactly_one():
