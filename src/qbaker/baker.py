@@ -119,19 +119,3 @@ def baker_reference_3q() -> Circuit:
     )
     return Circuit(3, gates)
 
-
-@dataclass(frozen=True)
-class BakerRealization:
-    """Dense and gate-network forms side by side (small systems only)."""
-
-    qubits: int
-    matrix_form: np.ndarray
-    circuit_form: Circuit
-
-
-def baker_realization(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> BakerRealization:
-    return BakerRealization(
-        qubits,
-        baker_matrix(qubits, max_qubits=max_qubits),
-        baker_circuit(qubits),
-    )

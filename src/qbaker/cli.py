@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success (and passing checks), 1 domain error or failing
-check, 2 usage error. Check subcommands print machine-readable JSON with
-residuals; every file output gets a run manifest written next to it.
+Exit codes: 0 success (and passing checks), 1 domain error, unreadable
+input, a size numpy cannot allocate, or failing check, 2 usage error.
+Check subcommands print machine-readable JSON with residuals; every file
+output gets a run manifest written next to it.
 The QBAKER_THREADS environment variable sets the kernel worker count for
 large systems (default 1).
 """
@@ -18,10 +19,10 @@ import numpy as np
 from . import __version__, io, kernels
 from .baker import ClassicalPoint, baker_circuit, baker_matrix, classical_orbit
 from .dynamics import EchoConfig, form_factor, iterate, loschmidt_echo
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .gates import circuit_to_matrix
 from .qft import qft_residual
-from .state import basis_state
+from .state import NORM_TOL, basis_state
 from .weyl import build_operators, check_weyl
 
 QFT_CHECK_TOL = 1e-10
@@ -98,6 +99,9 @@ def cmd_iterate(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"state file has {state.qubits} qubits, command asked for {args.qubits}"
             )
+        norm = state.norm()
+        if abs(norm - 1.0) > NORM_TOL:
+            raise DomainError(f"state file is not normalized (norm {norm!r})")
     else:
         state = basis_state(args.qubits, args.basis)
     result = iterate(state, args.steps)
@@ -218,7 +222,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     try:
         return args.func(args)
-    except (DomainError, ParseError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        # ValueError covers DomainError, ParseError and sizes numpy refuses.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

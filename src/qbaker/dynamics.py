@@ -97,11 +97,11 @@ def distribution_entropy(p: np.ndarray) -> float | np.ndarray:
     return out
 
 
-def form_factor(qubits: int, n_max: int, *, max_qubits: int = 10) -> np.ndarray:
+def form_factor(qubits: int, n_max: int) -> np.ndarray:
     """K(n) = |tr(T^n)|^2 / D for n = 1..n_max, by repeated dense products."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    t = baker_matrix(qubits, max_qubits=max_qubits)
+    t = baker_matrix(qubits)
     dim = 1 << qubits
     power = np.eye(dim, dtype=np.complex128)
     out = np.empty(n_max, dtype=np.float64)
@@ -117,12 +117,12 @@ def _kick(arr: np.ndarray, qubits: int, angles) -> None:
         kernels.phase_on_one(arr, qubits, k, angles[k])
 
 
-def phase_kick(state: StateVector, angles: np.ndarray, *, copy: bool = True) -> StateVector:
+def phase_kick(state: StateVector, angles: np.ndarray) -> StateVector:
     """Apply diag(1, e^{i angles[k]}) on every qubit k (diagonal, unitary)."""
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (state.qubits,):
         raise DomainError(f"need one angle per qubit, got shape {angles.shape}")
-    arr = state.amplitudes.copy() if copy else state.amplitudes
+    arr = state.amplitudes.copy()
     _kick(arr, state.qubits, angles)
     return StateVector(state.qubits, arr)
 

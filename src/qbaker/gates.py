@@ -188,12 +188,12 @@ def _apply_circuit_array(arr: np.ndarray, circuit: Circuit) -> np.ndarray:
     return arr
 
 
-def apply_gate(state: StateVector, gate: Gate, *, copy: bool = True) -> StateVector:
-    """Apply one gate. With copy=False the input amplitudes are mutated."""
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate to a copy of the state."""
     for q in gate.labels():
         if q >= state.qubits:
             raise DomainError(f"gate label {q} outside state of {state.qubits} qubits")
-    arr = state.amplitudes.copy() if copy else state.amplitudes
+    arr = state.amplitudes.copy()
     _apply_gate_array(arr, state.qubits, gate)
     return StateVector(state.qubits, arr)
 
@@ -213,13 +213,7 @@ def circuit_to_matrix(circuit: Circuit, *, max_qubits: int = MAX_DENSE_QUBITS) -
         raise SizeError(
             f"dense realization refused for {circuit.qubits} qubits (limit {max_qubits})"
         )
-    dim = 1 << circuit.qubits
-    mat = np.eye(dim, dtype=np.complex128)
-    for g in circuit.gates:
-        _apply_gate_array(mat, circuit.qubits, g)
-    if not circuit.has_identity_relabel():
-        mat = kernels.permute_bits(mat, circuit.qubits, circuit.relabel)
-    return mat
+    return _apply_circuit_array(np.eye(1 << circuit.qubits, dtype=np.complex128), circuit)
 
 
 def dagger(circuit: Circuit) -> Circuit:

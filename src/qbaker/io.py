@@ -165,15 +165,6 @@ def circuit_from_text(text: str) -> Circuit:
         raise ParseError(str(exc)) from None
 
 
-def write_circuit(circuit: Circuit, path: str) -> None:
-    _atomic_write_text(circuit_to_text(circuit), path)
-
-
-def read_circuit(path: str) -> Circuit:
-    with open(path) as fh:
-        return circuit_from_text(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # Matrix JSON: {"qubits": L, "dim": D, "entries": [[[re, im], ...] rows]}.
 

@@ -15,6 +15,7 @@ from the same inputs, so results are independent of the partitioning.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,6 +56,17 @@ def _get_pool(n: int) -> ThreadPoolExecutor:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=n)
         return _pool
+
+
+def _reset_after_fork() -> None:
+    # The pool's worker threads do not exist in a forked child, and the lock
+    # may have been held by one of the parent's threads at the fork.
+    global _lock, _pool
+    _lock = threading.Lock()
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def _run_blocks(block_fn, nblocks: int, qubits: int) -> None:
@@ -180,19 +192,15 @@ def _multiply(target: np.ndarray, phase: complex | np.ndarray, cols: int) -> Non
     target.imag = re * p_im + im * p_re
 
 
-def bit_permutation_indices(qubits: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Index map for relabeling: entry j is the index whose bit perm[k]
-    equals bit k of j."""
-    j = np.arange(1 << qubits, dtype=np.int64)
-    idx = np.zeros_like(j)
-    for k, pk in enumerate(perm):
-        idx |= ((j >> k) & 1) << pk
-    return idx
-
-
 def permute_bits(arr: np.ndarray, qubits: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Return a new array with the value of qubit k moved to qubit perm[k]."""
-    idx = bit_permutation_indices(qubits, perm)
-    out = np.empty_like(arr)
-    out[idx] = arr
-    return out
+    """Return a new array with the value of qubit k moved to qubit perm[k].
+
+    One transposed copy of the (2,)*qubits view: axis i of that view holds
+    qubit qubits-1-i, so qubit perm[k]'s axis of the result is taken from
+    qubit k's axis of the input. Trailing column axes stay in place.
+    """
+    axes = list(range(arr.ndim - 1 + qubits))
+    for k, pk in enumerate(perm):
+        axes[qubits - 1 - pk] = qubits - 1 - k
+    view = arr.reshape((2,) * qubits + arr.shape[1:])
+    return view.transpose(axes).copy().reshape(arr.shape)

@@ -21,7 +21,6 @@ oracle and the test suite pins the outcome.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,17 +38,6 @@ from .gates import (
 #: the dense position-to-momentum matrix. Resolved empirically; see
 #: resolve_phase_sign().
 DFT_PHASE_SIGN = -1
-
-
-@dataclass(frozen=True)
-class DftConvention:
-    """Resolved sign and ordering convention of the gate network."""
-
-    phase_sign: int
-    ordering: str = "product-right-first"
-
-
-CONVENTION = DftConvention(DFT_PHASE_SIGN)
 
 
 def dft_matrix(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
@@ -86,9 +74,7 @@ def qft_circuit(qubits: int, *, phase_sign: int = DFT_PHASE_SIGN) -> Circuit:
 
 
 @functools.lru_cache(maxsize=None)
-def qft_block_circuit(
-    qubits: int, low_qubits: int, *, phase_sign: int = DFT_PHASE_SIGN
-) -> Circuit:
+def qft_block_circuit(qubits: int, low_qubits: int) -> Circuit:
     """Network applying the transform to qubits 0..low_qubits-1 only.
 
     The remaining (most significant) qubits are untouched, so the dense
@@ -97,7 +83,7 @@ def qft_block_circuit(
     """
     if not 1 <= low_qubits <= qubits:
         raise DomainError(f"low_qubits {low_qubits} outside [1, {qubits}]")
-    inner = qft_circuit(low_qubits, phase_sign=phase_sign)
+    inner = qft_circuit(low_qubits)
     return Circuit(qubits, inner.gates)
 
 

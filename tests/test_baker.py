@@ -7,9 +7,9 @@ from qbaker import (
     DomainError,
     GateKind,
     SizeError,
+    apply_circuit,
     baker_circuit,
     baker_matrix,
-    baker_realization,
     baker_reference_3q,
     classical_orbit,
     classical_step,
@@ -17,6 +17,8 @@ from qbaker import (
     elide_swaps,
     gate_count,
     is_unitary,
+    iterate,
+    random_state,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -137,10 +139,25 @@ def test_baker_elide_swaps_equivalent(qubits):
     assert np.linalg.norm(circuit_to_matrix(e) - circuit_to_matrix(c)) <= 1e-12
 
 
-def test_baker_realization_forms_agree():
-    real = baker_realization(4)
-    assert np.linalg.norm(circuit_to_matrix(real.circuit_form) - real.matrix_form) <= 1e-10
-    assert is_unitary(real.matrix_form)
+def test_baker_circuit_and_matrix_forms_agree():
+    mat = baker_matrix(4)
+    assert np.linalg.norm(circuit_to_matrix(baker_circuit(4)) - mat) <= 1e-10
+    assert is_unitary(mat)
+
+
+def _fft_map(amps: np.ndarray) -> np.ndarray:
+    # T = F_L^{-1} diag(F_{L-1}, F_{L-1}), blocks split on the top bit.
+    half = np.fft.fft(amps.reshape(2, -1), axis=1, norm="ortho")
+    return np.fft.ifft(half.ravel(), norm="ortho")
+
+
+@pytest.mark.parametrize("qubits", [12, 16, 18])
+def test_gate_paths_match_fft_form_past_dense_guard(qubits):
+    psi = random_state(qubits, 1000 + qubits)
+    expect = _fft_map(psi.amplitudes)
+    for got in (iterate(psi, 1), apply_circuit(psi, elide_swaps(baker_circuit(qubits)))):
+        err = np.linalg.norm(got.amplitudes - expect) / np.linalg.norm(expect)
+        assert err <= 1e-12
 
 
 # --- the hardcoded three-qubit sequence -------------------------------------

@@ -137,6 +137,32 @@ def test_iterate_qubit_mismatch(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_iterate_rejects_unnormalized_state_file(tmp_path, capsys):
+    src = tmp_path / "zero.json"
+    dst = tmp_path / "out.json"
+    src.write_text(json.dumps({"qubits": 2, "amplitudes": [[0.0, 0.0]] * 4}))
+    code, stdout, err = run(
+        capsys, "iterate", "--qubits", "2", "--state", str(src), "--steps", "1",
+        "--out", str(dst),
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and "normalized" in err and err.count("\n") == 1
+    assert not dst.exists()
+
+
+# Sizes numpy refuses before allocating anything; never use one it would try.
+@pytest.mark.parametrize("argv", [
+    ("iterate", "--qubits", "62", "--basis", "0", "--steps", "1"),
+    ("iterate", "--qubits", "100", "--basis", "0", "--steps", "1"),
+    ("echo", "--qubits", "100", "--steps", "1", "--delta", "0.1", "--ensemble", "1",
+     "--seed", "0"),
+])
+def test_sizes_numpy_refuses_are_one_line_errors(capsys, argv):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_echo_writes_csv_and_manifest(tmp_path, capsys):
     out = tmp_path / "echo.csv"
     code, _, _ = run(

@@ -1,10 +1,11 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from qbaker import DomainError, apply_circuit, random_state, set_num_threads
 from qbaker.baker import baker_circuit
 from qbaker.kernels import (
-    bit_permutation_indices,
     cond_phase,
     get_num_threads,
     hadamard,
@@ -59,9 +60,22 @@ def test_permute_bits_identity_and_cycle():
         assert out[target] == j
 
 
-def test_bit_permutation_indices_is_permutation():
-    idx = bit_permutation_indices(4, (2, 0, 3, 1))
-    assert sorted(idx.tolist()) == list(range(16))
+def test_permute_bits_is_permutation():
+    out = permute_bits(np.arange(16), 4, (2, 0, 3, 1))
+    assert sorted(out.tolist()) == list(range(16))
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 5, 8])
+def test_permute_bits_columns_match_column_by_column_bitwise(qubits):
+    rng = np.random.default_rng(qubits)
+    dim = 1 << qubits
+    for _ in range(4):
+        perm = tuple(rng.permutation(qubits).tolist())
+        batch = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        got = permute_bits(batch, qubits, perm)
+        assert not np.shares_memory(got, batch)
+        for c in range(3):
+            assert np.array_equal(got[:, c], permute_bits(batch[:, c].copy(), qubits, perm))
 
 
 def test_matrix_and_vector_paths_agree():
@@ -110,6 +124,27 @@ def test_thread_count_validation():
     with pytest.raises(DomainError):
         set_num_threads(0)
     assert get_num_threads() == 1
+
+
+def _threaded_kernel_call() -> None:
+    hadamard(np.ones(1 << 16, dtype=complex), 16, 0)
+
+
+def test_threaded_kernels_work_in_a_forked_child():
+    # The parent's pool threads do not survive a fork; the child must start
+    # its own pool instead of waiting on the inherited one.
+    try:
+        set_num_threads(2)
+        _threaded_kernel_call()
+        child = multiprocessing.get_context("fork").Process(target=_threaded_kernel_call)
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    finally:
+        set_num_threads(1)
+    assert child.exitcode == 0
 
 
 def test_threaded_application_bitwise_identical():
