@@ -1,7 +1,8 @@
 """Spectral form factor K(n) = |tr T^n|^2 / D of the quantized map.
 
-Computed by repeated dense multiplication, no eigendecomposition. For a
-chaotic map K(n) fluctuates around 1 at late times (the random-matrix
+Computed from dense matrix powers, no eigendecomposition: T is unitary,
+so each product T^(3m) = T^(3m-3) @ T^3 also gives the traces of T^(3m-1)
+and T^(3m-2) as vdot(T, T^(3m)) and vdot(T^2, T^(3m)). For a chaotic map K(n) fluctuates around 1 at late times (the random-matrix
 plateau); early-time structure reflects short periodic orbits. Writes
 form_factor.csv for the largest size.
 """

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (and passing checks), 1 domain error, unreadable
-input, a size numpy cannot allocate, or failing check, 2 usage error.
+input, a size numpy cannot allocate, a state larger than physical memory,
+or failing check, 2 usage error.
 Check subcommands print machine-readable JSON with residuals; every file
 output gets a run manifest written next to it.
 The QBAKER_THREADS environment variable sets the kernel worker count for
@@ -14,12 +15,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, io, kernels
 from .baker import ClassicalPoint, baker_circuit, baker_matrix, classical_orbit
 from .dynamics import EchoConfig, form_factor, iterate, loschmidt_echo
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .gates import circuit_to_matrix
 from .qft import qft_residual
 from .state import NORM_TOL, basis_state
@@ -92,7 +91,24 @@ def cmd_baker(args: argparse.Namespace) -> int:
     return 0
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_state_size(qubits: int) -> None:
+    # Three D-vectors of complex128: the input, the working copy and the
+    # kernel temporaries. Refused before anything of that size is allocated.
+    need = 3 * 16 * (1 << qubits)
+    have = _physical_memory_bytes()
+    if need > have:
+        raise SizeError(
+            f"state for {qubits} qubits needs about {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def cmd_iterate(args: argparse.Namespace) -> int:
+    _check_state_size(args.qubits)
     if args.state is not None:
         state = io.read_state(args.state)
         if state.qubits != args.qubits:
@@ -118,6 +134,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 def cmd_echo(args: argparse.Namespace) -> int:
     cfg = EchoConfig(args.qubits, args.steps, args.delta, args.ensemble, args.seed)
+    _check_state_size(cfg.qubits)
     records = loschmidt_echo(cfg)
     params = {
         "qubits": args.qubits,

@@ -2,7 +2,9 @@
 
 Everything here runs through the O(D)-per-gate kernels; dense matrices
 appear only inside the form factor (which needs traces of matrix powers)
-and stay behind the usual size guard.
+and stay behind the usual size guard. Because T is unitary, one dense
+product there yields three traces (tr T^(k-j) = vdot(T^j, T^k)), so K(n)
+out to n_max takes about n_max / 3 products.
 """
 from __future__ import annotations
 
@@ -98,17 +100,31 @@ def distribution_entropy(p: np.ndarray) -> float | np.ndarray:
 
 
 def form_factor(qubits: int, n_max: int) -> np.ndarray:
-    """K(n) = |tr(T^n)|^2 / D for n = 1..n_max, by repeated dense products."""
+    """K(n) = |tr(T^n)|^2 / D for n = 1..n_max, by a stride-3 power chain.
+
+    T is unitary, so T^-j = (T^j)^dagger and tr T^(k-j) = vdot(T^j, T^k).
+    The traces of T, T^2 and S = T^3 are read directly; after that each
+    product P <- P @ S gives P = T^(3m) and three traces: tr P,
+    vdot(T, P) and vdot(T^2, P). That is ceil(n_max / 3) + 1 dense
+    products for n_max >= 3 instead of n_max, with at most five D x D
+    matrices live (T, T^2, S, P and the new product).
+    """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     t = baker_matrix(qubits)
-    dim = 1 << qubits
-    power = np.eye(dim, dtype=np.complex128)
-    out = np.empty(n_max, dtype=np.float64)
-    for n in range(n_max):
-        power = power @ t
-        out[n] = abs(np.trace(power)) ** 2 / dim
-    return out
+    # Allocated before any product, so an n_max numpy cannot hold fails at once.
+    traces = np.empty(n_max, dtype=np.complex128)
+    powers = [t]  # T, T^2, T^3, as far as n_max reaches
+    while len(powers) < min(n_max, 3):
+        powers.append(powers[-1] @ t)
+    traces[:3] = [np.trace(m) for m in powers][:n_max]
+    if n_max > 3:
+        t2, step = powers[1], powers[2]
+        power = step
+        for n in range(3, n_max, 3):
+            power = power @ step  # T^(n+3): traces[n + j] is tr T^(n+1+j)
+            traces[n:n + 3] = (np.vdot(t2, power), np.vdot(t, power), np.trace(power))[:n_max - n]
+    return np.abs(traces) ** 2 / (1 << qubits)
 
 
 def _kick(arr: np.ndarray, qubits: int, angles) -> None:

@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class SizeError(DomainError):
-    """Dense-matrix request beyond the qubit-count guard."""
+    """Request beyond a size guard: a dense matrix past the qubit-count limit,
+    or a state vector larger than physical memory."""
 
 
 class ParseError(ValueError):

@@ -156,11 +156,35 @@ def test_iterate_rejects_unnormalized_state_file(tmp_path, capsys):
     ("iterate", "--qubits", "100", "--basis", "0", "--steps", "1"),
     ("echo", "--qubits", "100", "--steps", "1", "--delta", "0.1", "--ensemble", "1",
      "--seed", "0"),
+    ("formfactor", "--qubits", "2", "--nmax", str(2**62)),
 ])
 def test_sizes_numpy_refuses_are_one_line_errors(capsys, argv):
     code, stdout, err = run(capsys, *argv)
     assert code == 1 and stdout == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# The memory probe is patched down, so the guard fires at a size that
+# would be cheap to allocate; no real allocation is ever attempted.
+@pytest.mark.parametrize("argv", [
+    ("iterate", "--qubits", "17", "--basis", "0", "--steps", "1"),
+    ("echo", "--qubits", "17", "--steps", "1", "--delta", "0.1", "--ensemble", "1",
+     "--seed", "0"),
+])
+def test_state_size_guard_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("qbaker.cli._physical_memory_bytes", lambda: 1 << 20)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and "physical memory" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_state_size_guard_admits_what_fits(capsys, monkeypatch):
+    # 3 * 16 * 2^L bytes at L = 14 is 768 KiB, under the patched 1 MiB.
+    monkeypatch.setattr("qbaker.cli._physical_memory_bytes", lambda: 1 << 20)
+    code, stdout, _ = run(capsys, "iterate", "--qubits", "14", "--basis", "0", "--steps", "0")
+    assert code == 0 and json.loads(stdout)["qubits"] == 14
 
 
 def test_echo_writes_csv_and_manifest(tmp_path, capsys):

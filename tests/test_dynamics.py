@@ -189,6 +189,36 @@ def test_form_factor_size_guard():
         form_factor(11, 2)
 
 
+def _dense_power_form_factor(qubits, n_max):
+    # Reference: one dense product per n, T^n built as T^(n-1) @ T.
+    t = baker_matrix(qubits)
+    dim = 1 << qubits
+    power = np.eye(dim, dtype=np.complex128)
+    out = np.empty(n_max, dtype=np.float64)
+    for n in range(n_max):
+        power = power @ t
+        out[n] = abs(np.trace(power)) ** 2 / dim
+    return out
+
+
+# Every n_max mod 3, at every L up to 8, and the Heisenberg time 2^L up to L = 6.
+@pytest.mark.parametrize("qubits, n_max", [
+    *((q, n) for q in range(1, 9) for n in (0, 1, 2, 3, 4, 5, 6, 7, 40)),
+    *((q, 1 << q) for q in range(1, 7)),
+])
+def test_form_factor_matches_dense_powers(qubits, n_max):
+    got = form_factor(qubits, n_max)
+    assert got.shape == (n_max,) and got.dtype == np.float64
+    assert np.all(np.abs(got - _dense_power_form_factor(qubits, n_max)) <= 1e-12)
+
+
+def test_form_factor_matches_eigenvalues():
+    lam = np.linalg.eigvals(baker_matrix(8))
+    n = np.arange(1, 257)
+    expect = np.abs(np.power(lam[None, :], n[:, None]).sum(axis=1)) ** 2 / 256
+    assert np.all(np.abs(form_factor(8, 256) - expect) <= 1e-9)
+
+
 # --- phase kicks -----------------------------------------------------------
 
 def test_phase_kick_matches_dense_diagonal():
