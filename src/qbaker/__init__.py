@@ -57,21 +57,11 @@ from .qft import (
     qft_residual,
     resolve_phase_sign,
 )
-from .state import (
-    BasisLabel,
-    PhaseSpaceScale,
-    StateVector,
-    basis_state,
-    fidelity,
-    inner_product,
-    random_state,
-    renormalize,
-)
+from .state import StateVector, basis_state, random_state
 from .weyl import PhaseSpaceOperators, WeylReport, build_operators, check_weyl
 
 __all__ = [
     "__version__",
-    "BasisLabel",
     "Circuit",
     "ClassicalPoint",
     "DFT_PHASE_SIGN",
@@ -83,7 +73,6 @@ __all__ = [
     "MAX_DENSE_QUBITS",
     "ParseError",
     "PhaseSpaceOperators",
-    "PhaseSpaceScale",
     "SizeError",
     "StateVector",
     "TrajectoryRecord",
@@ -108,11 +97,9 @@ __all__ = [
     "distribution_entropy",
     "echo_initial_state",
     "elide_swaps",
-    "fidelity",
     "form_factor",
     "gate_count",
     "get_num_threads",
-    "inner_product",
     "is_unitary",
     "iterate",
     "loschmidt_echo",
@@ -123,7 +110,6 @@ __all__ = [
     "qft_circuit",
     "qft_residual",
     "random_state",
-    "renormalize",
     "resolve_phase_sign",
     "set_num_threads",
     "swap_gate",

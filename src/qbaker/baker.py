@@ -22,7 +22,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DomainError
 from .gates import (
@@ -69,7 +68,11 @@ def baker_matrix(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarr
     """Dense quantized map: F_L^{-1} . diag(F_{L-1}, F_{L-1})."""
     full = dft_matrix(qubits, max_qubits=max_qubits)
     half = dft_matrix(qubits - 1) if qubits > 1 else np.eye(1, dtype=np.complex128)
-    return full.conj().T @ block_diag(half, half)
+    blocks = np.zeros_like(full)
+    d = half.shape[0]
+    blocks[:d, :d] = half
+    blocks[d:, d:] = half
+    return full.conj().T @ blocks
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,4 +11,4 @@ class SizeError(DomainError):
 
 
 class ParseError(ValueError):
-    """Malformed state, circuit, or manifest file."""
+    """Malformed state or manifest file."""

@@ -207,11 +207,12 @@ def apply_circuit(state: StateVector, circuit: Circuit, *, copy: bool = True) ->
     return StateVector(state.qubits, arr)
 
 
-def circuit_to_matrix(circuit: Circuit, *, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
+def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     """Dense unitary realized by the circuit (verification path only)."""
-    if circuit.qubits > max_qubits:
+    if circuit.qubits > MAX_DENSE_QUBITS:
         raise SizeError(
-            f"dense realization refused for {circuit.qubits} qubits (limit {max_qubits})"
+            f"dense realization refused for {circuit.qubits} qubits "
+            f"(limit {MAX_DENSE_QUBITS})"
         )
     return _apply_circuit_array(np.eye(1 << circuit.qubits, dtype=np.complex128), circuit)
 

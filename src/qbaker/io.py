@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import TrajectoryRecord
 from .errors import ParseError
-from .gates import Circuit, Gate, GateKind, a_gate, b_gate, swap_gate
+from .gates import Circuit, GateKind
 from .state import StateVector
 
 
@@ -89,10 +89,11 @@ def read_state(path: str) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Circuit text: header "qubits L"; one gate per line (A m | B m n | Bdg m n |
-# SWAP m n); '#' comments; optional trailing "relabel p0 ... p(L-1)".
-# B lines take an optional fourth token, the phase exponent, when it
-# differs from n - m (gates relabeled by swap elision keep their phase).
+# Circuit text, written by `qbaker baker --form circuit` and never read
+# back: header "qubits L"; one gate per line (A m | B m n | Bdg m n |
+# SWAP m n); optional trailing "relabel p0 ... p(L-1)". B lines take a
+# fourth token, the phase exponent, when it differs from n - m (gates
+# relabeled by swap elision keep their phase).
 
 def circuit_to_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.qubits}"]
@@ -108,61 +109,6 @@ def circuit_to_text(circuit: Circuit) -> str:
     if not circuit.has_identity_relabel():
         lines.append("relabel " + " ".join(str(p) for p in circuit.relabel))
     return "\n".join(lines) + "\n"
-
-
-def _parse_labels(parts: list[str], count: int, lineno: int) -> list[int]:
-    if len(parts) != count:
-        raise ParseError(f"line {lineno}: expected {count} integer label(s)")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"line {lineno}: labels must be integers") from None
-
-
-def circuit_from_text(text: str) -> Circuit:
-    qubits: int | None = None
-    gates: list[Gate] = []
-    relabel: tuple[int, ...] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        keyword = parts[0]
-        if qubits is None:
-            if keyword != "qubits" or len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected header 'qubits L'")
-            try:
-                qubits = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: qubit count must be an integer") from None
-            continue
-        if relabel is not None:
-            raise ParseError(f"line {lineno}: relabel must be the last line")
-        try:
-            if keyword == "A":
-                gates.append(a_gate(*_parse_labels(parts[1:], 1, lineno)))
-            elif keyword in ("B", "Bdg"):
-                nargs = 3 if len(parts) == 4 else 2
-                m, n, *rest = _parse_labels(parts[1:], nargs, lineno)
-                span = rest[0] if rest else None
-                gates.append(b_gate(m, n, conjugated=(keyword == "Bdg"), span=span))
-            elif keyword == "SWAP":
-                gates.append(swap_gate(*_parse_labels(parts[1:], 2, lineno)))
-            elif keyword == "relabel":
-                relabel = tuple(_parse_labels(parts[1:], qubits, lineno))
-            else:
-                raise ParseError(f"line {lineno}: unknown gate {keyword!r}")
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(f"line {lineno}: {exc}") from None
-    if qubits is None:
-        raise ParseError("missing 'qubits L' header")
-    try:
-        return Circuit(qubits, tuple(gates), relabel)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

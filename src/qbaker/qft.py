@@ -89,8 +89,11 @@ def qft_block_circuit(qubits: int, low_qubits: int) -> Circuit:
 
 def qft_residual(qubits: int, *, phase_sign: int = DFT_PHASE_SIGN) -> float:
     """Frobenius distance between the gate network and the dense oracle."""
+    # The oracle's size guard runs before the network (about L^2/2 gates)
+    # is built, so a huge qubit count is refused without building it.
+    oracle = dft_matrix(qubits)
     mat = circuit_to_matrix(qft_circuit(qubits, phase_sign=phase_sign))
-    return float(np.linalg.norm(mat - dft_matrix(qubits)))
+    return float(np.linalg.norm(mat - oracle))
 
 
 def resolve_phase_sign(max_qubits: int = 4, tol: float = 1e-10) -> int:

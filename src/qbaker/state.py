@@ -3,11 +3,10 @@
 Amplitudes are stored by position-basis index j ascending, and qubit k is
 the 2^k binary digit of j (so qubit L-1 is the most significant bit).
 Normalization is checked where an operation requires it, never silently
-re-imposed; use :func:`renormalize` explicitly.
+re-imposed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,54 +33,8 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.qubits
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.qubits, self.amplitudes.copy())
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """Position-basis index j together with its binary digits.
-
-    bits[k] is the 2^k digit, so j == sum(bits[k] << k).
-    """
-
-    j: int
-    bits: tuple[int, ...]
-
-    @classmethod
-    def from_index(cls, j: int, qubits: int) -> "BasisLabel":
-        if not 0 <= j < (1 << qubits):
-            raise DomainError(f"index {j} outside [0, 2^{qubits})")
-        return cls(j, tuple((j >> k) & 1 for k in range(qubits)))
-
-    def __post_init__(self) -> None:
-        if self.j != sum(b << k for k, b in enumerate(self.bits)):
-            raise DomainError("bits do not reassemble to the index")
-
-
-@dataclass(frozen=True)
-class PhaseSpaceScale:
-    """Effective Planck constant of the discretized unit square.
-
-    Fixed by 2*pi*hbar = 2^-L; constructed as 1.0 / (2*pi*D) so the float
-    value is reproducible.
-    """
-
-    qubits: int
-    hbar: float
-
-    @classmethod
-    def for_qubits(cls, qubits: int) -> "PhaseSpaceScale":
-        if qubits < 1:
-            raise DomainError(f"qubit count must be >= 1, got {qubits}")
-        return cls(qubits, 1.0 / (2.0 * math.pi * (1 << qubits)))
 
 
 def basis_state(qubits: int, j: int) -> StateVector:
@@ -101,31 +54,3 @@ def random_state(qubits: int, rng: np.random.Generator | int | None = None) -> S
     amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     amps /= np.linalg.norm(amps)
     return StateVector(qubits, amps)
-
-
-def renormalize(state: StateVector) -> StateVector:
-    """Return the state scaled to unit norm (explicit, never automatic)."""
-    n = state.norm()
-    if n == 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return StateVector(state.qubits, state.amplitudes / n)
-
-
-def _require_same_qubits(a: StateVector, b: StateVector) -> None:
-    if a.qubits != b.qubits:
-        raise DomainError(f"qubit counts differ: {a.qubits} vs {b.qubits}")
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> = sum_j conj(a_j) b_j."""
-    _require_same_qubits(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 for two normalized states."""
-    _require_same_qubits(a, b)
-    for name, s in (("a", a), ("b", b)):
-        if abs(s.norm() - 1.0) > NORM_TOL:
-            raise DomainError(f"state {name} is not normalized (norm {s.norm()!r})")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

@@ -41,12 +41,12 @@ class WeylReport:
     passed: bool
 
 
-def build_operators(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> PhaseSpaceOperators:
+def build_operators(qubits: int) -> PhaseSpaceOperators:
     """Construct q, p, U, V for D = 2^qubits dimensions."""
     if qubits < 1:
         raise DomainError(f"qubit count must be >= 1, got {qubits}")
-    if qubits > max_qubits:
-        raise SizeError(f"operators refused for {qubits} qubits (limit {max_qubits})")
+    if qubits > MAX_DENSE_QUBITS:
+        raise SizeError(f"operators refused for {qubits} qubits (limit {MAX_DENSE_QUBITS})")
     dim = 1 << qubits
     levels = np.arange(dim) / dim
     fourier = dft_matrix(qubits)
@@ -59,7 +59,7 @@ def build_operators(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> Phase
     return PhaseSpaceOperators(dim, q_op, p_op, u_op, v_op, epsilon)
 
 
-def check_weyl(ops: PhaseSpaceOperators, tol: float = PASS_TOL) -> WeylReport:
+def check_weyl(ops: PhaseSpaceOperators) -> WeylReport:
     """Residuals of the commutation relation and of D-periodicity."""
     u, v = ops.u_op, ops.v_op
     commutation = float(np.linalg.norm(u @ v - ops.epsilon * (v @ u)))
@@ -68,7 +68,8 @@ def check_weyl(ops: PhaseSpaceOperators, tol: float = PASS_TOL) -> WeylReport:
         float(np.linalg.norm(np.linalg.matrix_power(u, ops.dim) - eye)),
         float(np.linalg.norm(np.linalg.matrix_power(v, ops.dim) - eye)),
     )
-    return WeylReport(commutation, periodicity, commutation <= tol and periodicity <= tol)
+    passed = commutation <= PASS_TOL and periodicity <= PASS_TOL
+    return WeylReport(commutation, periodicity, passed)
 
 
 def cyclic_shift_matrix(dim: int) -> np.ndarray:

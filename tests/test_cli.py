@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qbaker import baker_matrix, basis_state, circuit_to_matrix, iterate
+from qbaker import baker_matrix, basis_state, iterate
 from qbaker.cli import main
 from qbaker.io import (
-    circuit_from_text,
     manifest_path,
     manifest_to_argv,
     read_manifest,
@@ -67,8 +66,20 @@ def test_usage_error_exit_two(capsys):
 def test_baker_circuit_output_matches_fixture(capsys):
     code, out, _ = run(capsys, "baker", "--qubits", "3", "--form", "circuit")
     assert code == 0
-    circuit = circuit_from_text(out)
-    assert np.linalg.norm(circuit_to_matrix(circuit) - baker_matrix(3)) <= 1e-10
+    assert out == (
+        "qubits 3\n"
+        "A 1\n"
+        "Bdg 0 1\n"
+        "A 0\n"
+        "SWAP 0 1\n"
+        "SWAP 0 2\n"
+        "A 0\n"
+        "B 0 1\n"
+        "B 0 2\n"
+        "A 1\n"
+        "B 1 2\n"
+        "A 2\n"
+    )
 
 
 def test_baker_matrix_output(capsys):
@@ -102,6 +113,25 @@ def test_every_file_output_gets_a_manifest(tmp_path, capsys):
         assert out.exists()
         manifest = read_manifest(manifest_path(str(out)))
         assert manifest.command == argv[0]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["qft-check", "--qubits", "2"], {"qubits", "out"}),
+    (["weyl-check", "--qubits", "2"], {"qubits", "out"}),
+    (["baker", "--qubits", "2", "--form", "circuit"], {"qubits", "form", "allow_large", "out"}),
+    (["iterate", "--qubits", "2", "--basis", "0", "--steps", "1"],
+     {"qubits", "state", "basis", "steps", "out"}),
+    (["echo", "--qubits", "2", "--steps", "1", "--delta", "0.1", "--ensemble", "1",
+      "--seed", "3"], {"qubits", "steps", "delta", "ensemble", "seed", "out"}),
+    (["formfactor", "--qubits", "2", "--nmax", "2"], {"qubits", "nmax", "out"}),
+])
+def test_manifest_params_are_the_parsed_arguments(tmp_path, capsys, argv, keys):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    manifest = read_manifest(manifest_path(str(out)))
+    assert set(manifest.params) == keys
+    assert manifest.params["qubits"] == 2 and manifest.params["out"] == str(out)
 
 
 def test_iterate_basis(capsys):
@@ -150,6 +180,32 @@ def test_iterate_rejects_unnormalized_state_file(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("qubits", ["-1", "0"])
+@pytest.mark.parametrize("command", [
+    ("qft-check",),
+    ("weyl-check",),
+    ("baker", "--form", "circuit"),
+    ("baker", "--form", "matrix"),
+    ("iterate", "--basis", "0", "--steps", "1"),
+    ("echo", "--steps", "1", "--delta", "0.1", "--ensemble", "1", "--seed", "0"),
+    ("formfactor", "--nmax", "2"),
+])
+def test_qubit_count_below_one_is_one_line_error(capsys, command, qubits):
+    code, stdout, err = run(capsys, *command, "--qubits", qubits)
+    assert code == 1 and stdout == ""
+    assert err == f"error: qubit count must be >= 1, got {qubits}\n"
+
+
+def test_qft_check_refuses_before_building_the_network(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("network built past the dense size guard")
+
+    monkeypatch.setattr("qbaker.qft.qft_circuit", refuse)
+    code, stdout, err = run(capsys, "qft-check", "--qubits", "1000")
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and "refused" in err and err.count("\n") == 1
+
+
 # Sizes numpy refuses before allocating anything; never use one it would try.
 @pytest.mark.parametrize("argv", [
     ("iterate", "--qubits", "62", "--basis", "0", "--steps", "1"),
@@ -170,6 +226,8 @@ def test_sizes_numpy_refuses_are_one_line_errors(capsys, argv):
     ("iterate", "--qubits", "17", "--basis", "0", "--steps", "1"),
     ("echo", "--qubits", "17", "--steps", "1", "--delta", "0.1", "--ensemble", "1",
      "--seed", "0"),
+    # 512 bytes for each of the 60^2 + 60 - 1 gates is about 1.8 MiB.
+    ("baker", "--qubits", "60", "--form", "circuit"),
 ])
 def test_state_size_guard_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("qbaker.cli._physical_memory_bytes", lambda: 1 << 20)
@@ -185,6 +243,9 @@ def test_state_size_guard_admits_what_fits(capsys, monkeypatch):
     monkeypatch.setattr("qbaker.cli._physical_memory_bytes", lambda: 1 << 20)
     code, stdout, _ = run(capsys, "iterate", "--qubits", "14", "--basis", "0", "--steps", "0")
     assert code == 0 and json.loads(stdout)["qubits"] == 14
+    # 512 bytes for each of the 40^2 + 40 - 1 gates is about 0.8 MiB.
+    code, stdout, _ = run(capsys, "baker", "--qubits", "40", "--form", "circuit")
+    assert code == 0 and stdout.startswith("qubits 40\n")
 
 
 def test_echo_writes_csv_and_manifest(tmp_path, capsys):

@@ -179,8 +179,6 @@ def test_circuit_to_matrix_is_unitary():
 def test_circuit_to_matrix_size_guard():
     with pytest.raises(SizeError):
         circuit_to_matrix(Circuit(11, ()))
-    with pytest.raises(SizeError):
-        circuit_to_matrix(Circuit(4, ()), max_qubits=3)
     # the guard is the only dense path; the gate path has no such limit
     big = apply_circuit(basis_state(12, 0), Circuit(12, (a_gate(11),)))
     assert abs(big.norm() - 1.0) <= 1e-13

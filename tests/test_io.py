@@ -10,14 +10,11 @@ from qbaker import (
     b_gate,
     baker_circuit,
     basis_state,
-    circuit_to_matrix,
     elide_swaps,
-    qft_circuit,
     random_state,
     swap_gate,
 )
 from qbaker.io import (
-    circuit_from_text,
     circuit_to_text,
     echo_records_to_csv,
     form_factor_to_csv,
@@ -78,39 +75,27 @@ def test_circuit_text_example():
     assert text == "qubits 2\nA 1\nBdg 0 1\nSWAP 0 1\n"
 
 
-def test_circuit_text_roundtrip_builders():
-    for circuit in (qft_circuit(4), baker_circuit(3), elide_swaps(baker_circuit(4))):
-        back = circuit_from_text(circuit_to_text(circuit))
-        assert back.qubits == circuit.qubits
-        assert back.gates == circuit.gates
-        assert back.relabel == circuit.relabel
+def test_circuit_text_elided_baker_golden():
+    # Swap elision leaves B gates whose phase exponent differs from n - m,
+    # written as a fourth token, and a relabel line.
+    assert circuit_to_text(elide_swaps(baker_circuit(3))) == (
+        "qubits 3\n"
+        "A 1\n"
+        "Bdg 0 1\n"
+        "A 0\n"
+        "A 2\n"
+        "B 0 2 1\n"
+        "B 1 2 2\n"
+        "A 0\n"
+        "B 0 1\n"
+        "A 1\n"
+        "relabel 1 2 0\n"
+    )
 
 
 def test_circuit_text_relabeled_phase_survives():
     c = elide_swaps(Circuit(3, (swap_gate(1, 2), b_gate(0, 2))))
-    back = circuit_from_text(circuit_to_text(c))
-    assert np.linalg.norm(circuit_to_matrix(back) - circuit_to_matrix(c)) == 0.0
-
-
-def test_circuit_text_comments_and_blanks():
-    text = "# a comment\n\nqubits 2\n# another\nA 0\n"
-    c = circuit_from_text(text)
-    assert c.gates == (a_gate(0),)
-
-
-def test_circuit_text_parse_errors():
-    with pytest.raises(ParseError, match="header"):
-        circuit_from_text("A 0\n")
-    with pytest.raises(ParseError, match="unknown gate"):
-        circuit_from_text("qubits 2\nCNOT 0 1\n")
-    with pytest.raises(ParseError, match="line 2"):
-        circuit_from_text("qubits 2\nB 1 1\n")
-    with pytest.raises(ParseError, match="relabel"):
-        circuit_from_text("qubits 2\nrelabel 1 0\nA 0\n")
-    with pytest.raises(ParseError):
-        circuit_from_text("qubits 2\nA 5\n")
-    with pytest.raises(ParseError):
-        circuit_from_text("qubits 2\nrelabel 0 0\n")
+    assert circuit_to_text(c) == "qubits 3\nB 0 1 2\nrelabel 0 2 1\n"
 
 
 # --- matrix JSON ------------------------------------------------------------
