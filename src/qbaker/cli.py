@@ -18,7 +18,7 @@ import sys
 from typing import Callable
 
 from . import __version__, io, kernels
-from .baker import ClassicalPoint, baker_circuit, baker_matrix, classical_orbit
+from .baker import ClassicalPoint, baker_circuit, baker_matrix, classical_step
 from .dynamics import EchoConfig, form_factor, iterate, loschmidt_echo
 from .errors import DomainError, SizeError
 from .qft import qft_residual
@@ -146,9 +146,13 @@ def cmd_formfactor(args: argparse.Namespace) -> int:
 
 
 def cmd_classical(args: argparse.Namespace) -> int:
-    orbit = classical_orbit(ClassicalPoint(args.q, args.p), args.steps)
-    lines = [f"{pt.q!r} {pt.p!r}" for pt in orbit[1:]]
-    sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
+    pt = ClassicalPoint(args.q, args.p)
+    if args.steps < 0:
+        raise DomainError(f"step count must be >= 0, got {args.steps}")
+    # One line per step as it is computed, so memory stays flat in --steps.
+    for _ in range(args.steps):
+        pt = classical_step(pt)
+        sys.stdout.write(f"{pt.q!r} {pt.p!r}\n")
     return 0
 
 

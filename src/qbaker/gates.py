@@ -14,9 +14,18 @@ plus an optional relabel permutation applied after the gates: logical
 qubit k ends up living at label ``relabel[k]``. Builders that realize an
 operator product written right-to-left perform that one reversal
 themselves, so nothing else reasons about product order.
+
+Every circuit application goes through ``_apply_circuit_array``. Arrays
+of at least two chunks of ``CHUNK_AMPLITUDES`` amplitudes run through a
+cached execution plan: the swap-elided circuit grouped into runs of gates
+that act inside chunks of 2^k consecutive basis rows (every B gate, and A
+on a label below k), each run applied chunk by chunk while the chunk is
+in cache, and the other gates as full passes. The result is bitwise equal
+to the gate-by-gate loop, which smaller arrays take.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -180,11 +189,112 @@ def _apply_gate_array(arr: np.ndarray, qubits: int, gate: Gate) -> None:
         kernels.swap_bits(arr, qubits, gate.m, gate.n)
 
 
+# Execution plan for large arrays (see _plan). A chunk is 2^k consecutive
+# basis rows of the array, all its columns included, holding at most
+# CHUNK_AMPLITUDES amplitudes: 1 MiB of complex128, half of a 2 MiB L2 cache.
+CHUNK_AMPLITUDES = 1 << 16
+# Smallest chunk height, as qubits. In a chunk of 2^k rows cond_phase touches
+# 2^(k-2) rows per column; at one row per column kernels._multiply switches
+# to real arithmetic, whose last bit could differ from the full pass.
+MIN_CHUNK_QUBITS = 3
+
+# Chunk operations: (kind, m, n, value, mask). The value is the angle, or
+# the phase itself for a whole-chunk phase; the operation acts on the chunks
+# whose index has every bit of the mask set.
+_HADAMARD, _COND_PHASE, _PHASE_ON_ONE, _CHUNK_PHASE = range(4)
+
+
+def _chunk_op(gate: Gate, k: int) -> tuple | None:
+    """The gate as an operation on one chunk of 2^k rows, or None if it
+    mixes rows of different chunks. Inside a chunk every label >= k is a
+    constant bit of the chunk index, so a B gate decides per chunk between
+    a conditional phase, a phase on one qubit, a phase on the whole chunk
+    and nothing. Swap-elided circuits hold only A and B gates."""
+    if gate.kind is GateKind.A:
+        return (_HADAMARD, gate.m, 0, 0.0, 0) if gate.m < k else None
+    angle = b_angle(gate)
+    if gate.n < k:
+        return (_COND_PHASE, gate.m, gate.n, angle, 0)
+    if gate.m < k:
+        return (_PHASE_ON_ONE, gate.m, 0, angle, 1 << (gate.n - k))
+    phase = complex(math.cos(angle), math.sin(angle))
+    return (_CHUNK_PHASE, 0, 0, phase, (1 << (gate.m - k)) | (1 << (gate.n - k)))
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(circuit: Circuit, k: int) -> tuple[tuple, tuple[int, ...]]:
+    """The circuit as (steps, relabel) for chunks of 2^k rows.
+
+    The swap-elided gates are grouped into maximal runs of chunk-local
+    gates. Each step is a Gate applied to the whole array, or a tuple of
+    chunk operations applied chunk by chunk; the relabel follows the
+    steps. Every amplitude gets the same operations in the same order as
+    in the gate-by-gate loop, so the result is bitwise equal to it.
+    """
+    elided = elide_swaps(circuit)
+    steps: list = []
+    run: list[tuple] = []
+    for g in elided.gates:
+        op = _chunk_op(g, k)
+        if op is not None:
+            run.append(op)
+            continue
+        if run:
+            steps.append(tuple(run))
+            run = []
+        steps.append(g)
+    if run:
+        steps.append(tuple(run))
+    return tuple(steps), elided.relabel
+
+
+def _chunk_qubits(size: int, qubits: int) -> int | None:
+    """Chunk height k for an array of `size` amplitudes, or None when the
+    array is below two chunks and takes the gate-by-gate loop."""
+    k = (CHUNK_AMPLITUDES // (size >> qubits)).bit_length() - 1
+    return k if MIN_CHUNK_QUBITS <= k < qubits else None
+
+
+def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
+    # Kernels are looked up on the module at each call, so wrappers put on
+    # the module attributes see every call.
+    rows = 1 << k
+    for c in range(c0, c1):
+        chunk = arr[c * rows:(c + 1) * rows]
+        for kind, m, n, value, mask in ops:
+            if kind == _HADAMARD:
+                kernels.hadamard(chunk, k, m)
+            elif kind == _COND_PHASE:
+                kernels.cond_phase(chunk, k, m, n, value)
+            elif c & mask != mask:
+                continue
+            elif kind == _PHASE_ON_ONE:
+                kernels.phase_on_one(chunk, k, m, value)
+            else:
+                chunk *= value
+
+
 def _apply_circuit_array(arr: np.ndarray, circuit: Circuit) -> np.ndarray:
-    for g in circuit.gates:
-        _apply_gate_array(arr, circuit.qubits, g)
-    if not circuit.has_identity_relabel():
-        arr = kernels.permute_bits(arr, circuit.qubits, circuit.relabel)
+    """Apply the circuit to the leading axis of `arr`; may return a new array.
+
+    Arrays of at least two chunks run through the cached plan, the rest
+    gate by gate.
+    """
+    qubits = circuit.qubits
+    k = _chunk_qubits(arr.size, qubits)
+    if k is None:
+        for g in circuit.gates:
+            _apply_gate_array(arr, qubits, g)
+        relabel = circuit.relabel
+    else:
+        steps, relabel = _plan(circuit, k)
+        for step in steps:
+            if isinstance(step, Gate):
+                _apply_gate_array(arr, qubits, step)
+            else:
+                kernels.run_chunks(functools.partial(_apply_run, arr, step, k), 1 << (qubits - k))
+    if relabel != identity_permutation(qubits):
+        arr = kernels.permute_bits(arr, qubits, relabel)
     return arr
 
 

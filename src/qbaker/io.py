@@ -72,7 +72,10 @@ def state_from_json(text: str) -> StateVector:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise ParseError(f"field 'amplitudes[{i}]': expected [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except OverflowError:
+            raise ParseError(f"field 'amplitudes[{i}]': value out of float range") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ParseError(f"field 'amplitudes[{i}]': non-finite value")
         out[i] = complex(re, im)

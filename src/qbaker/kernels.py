@@ -11,9 +11,13 @@ a (D,) state on its own.
 Kernels can partition the leading blocks across a shared thread pool for
 large systems. Every element is written exactly once, by the same formula
 from the same inputs, so results are independent of the partitioning.
+The execution plan in `gates` calls the kernels on chunks of consecutive
+rows and hands ranges of chunks to the same pool (`run_chunks`); kernels
+called inside such a range run serially.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -32,6 +36,8 @@ THREAD_MIN_QUBITS = 16
 _lock = threading.Lock()
 _num_threads = 1
 _pool: ThreadPoolExecutor | None = None
+# `serial` is set in a pool worker while it runs a range of chunks.
+_worker = threading.local()
 
 
 def set_num_threads(n: int) -> None:
@@ -71,17 +77,42 @@ os.register_at_fork(after_in_child=_reset_after_fork)
 
 def _run_blocks(block_fn, nblocks: int, qubits: int) -> None:
     n = _num_threads
-    if n <= 1 or qubits < THREAD_MIN_QUBITS or nblocks < n:
+    if n <= 1 or qubits < THREAD_MIN_QUBITS or nblocks < n or getattr(_worker, "serial", False):
         block_fn(0, nblocks)
         return
+    _split(block_fn, nblocks, n)
+
+
+def _split(range_fn, count: int, n: int) -> None:
+    """Call range_fn(i0, i1) on n contiguous ranges of [0, count) in the pool."""
     pool = _get_pool(n)
-    step = (nblocks + n - 1) // n
-    futures = [
-        pool.submit(block_fn, b0, min(b0 + step, nblocks))
-        for b0 in range(0, nblocks, step)
-    ]
+    step = (count + n - 1) // n
+    futures = [pool.submit(range_fn, i0, min(i0 + step, count)) for i0 in range(0, count, step)]
     for f in futures:
         f.result()
+
+
+def _serially(chunk_fn, c0: int, c1: int) -> None:
+    _worker.serial = True
+    try:
+        chunk_fn(c0, c1)
+    finally:
+        _worker.serial = False
+
+
+def run_chunks(chunk_fn, nchunks: int) -> None:
+    """Call chunk_fn(c0, c1) over the chunk indices [0, nchunks).
+
+    With more than one worker, each worker gets one contiguous range of
+    chunks, and the kernels called inside it run serially: a kernel that
+    handed its blocks to the pool from inside a worker could wait on a
+    pool with no free worker.
+    """
+    n = _num_threads
+    if n <= 1 or nchunks < n:
+        chunk_fn(0, nchunks)
+        return
+    _split(functools.partial(_serially, chunk_fn), nchunks, n)
 
 
 def _check_label(qubits: int, m: int) -> None:
@@ -99,10 +130,10 @@ def hadamard(arr: np.ndarray, qubits: int, m: int) -> None:
     def block(b0: int, b1: int) -> None:
         a = view[b0:b1, 0, :]
         b = view[b0:b1, 1, :]
-        t = (a + b) * INV_SQRT2
+        t = a + b
         np.subtract(a, b, out=b)
         b *= INV_SQRT2
-        a[...] = t
+        np.multiply(t, INV_SQRT2, out=a)
 
     _run_blocks(block, hi, qubits)
 

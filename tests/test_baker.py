@@ -151,7 +151,7 @@ def _fft_map(amps: np.ndarray) -> np.ndarray:
     return np.fft.ifft(half.ravel(), norm="ortho")
 
 
-@pytest.mark.parametrize("qubits", [12, 16, 18])
+@pytest.mark.parametrize("qubits", [12, 16, 18, 20])
 def test_gate_paths_match_fft_form_past_dense_guard(qubits):
     psi = random_state(qubits, 1000 + qubits)
     expect = _fft_map(psi.amplitudes)

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qbaker import baker_matrix, basis_state, iterate
+from qbaker import ClassicalPoint, baker_matrix, basis_state, classical_step, iterate
 from qbaker.cli import main
 from qbaker.io import (
     manifest_path,
@@ -47,6 +50,61 @@ def test_classical_trajectory(capsys):
     code, out, _ = run(capsys, "classical", "--q", "0.25", "--p", "0.6", "--steps", "2")
     assert code == 0
     assert out.splitlines() == ["0.5 0.3", "1.0 0.15"]
+
+
+@pytest.mark.parametrize("q, p, steps, text", [
+    ("0.75", "0.2", "0", ""),
+    ("1.0", "1.0", "3", "1.0 1.0\n1.0 1.0\n1.0 1.0\n"),
+    ("0.0", "0.0", "2", "0.0 0.0\n0.0 0.0\n"),
+    ("0.1", "0.9", "6",
+     "0.2 0.45\n0.4 0.225\n0.8 0.1125\n0.6000000000000001 0.55625\n"
+     "0.20000000000000018 0.778125\n0.40000000000000036 0.3890625\n"),
+])
+def test_classical_output_bytes(capsys, q, p, steps, text):
+    code, out, _ = run(capsys, "classical", "--q", q, "--p", p, "--steps", steps)
+    assert code == 0
+    assert out == text
+
+
+def test_classical_float_orbit_reaches_fixed_point(capsys):
+    # 0.3 is a dyadic rational with a 54-bit expansion: the doubling runs out
+    # of bits and the orbit sits on q = 1.0 from step 54 on.
+    code, out, _ = run(capsys, "classical", "--q", "0.3", "--p", "0.6", "--steps", "57")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[51:] == ["0.75 0.19999999999999987", "0.5 0.6", "1.0 0.3",
+                          "1.0 0.65", "1.0 0.825", "1.0 0.9125"]
+
+
+class _HashingSink:
+    """Stand-in for stdout that keeps a digest of the text, not the text."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def test_classical_streams_its_orbit(monkeypatch):
+    steps = 10**5
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["classical", "--q", "0.3", "--p", "0.6", "--steps", str(steps)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expect = hashlib.sha256()
+    pt = ClassicalPoint(0.3, 0.6)
+    for _ in range(steps):
+        pt = classical_step(pt)
+        expect.update(f"{pt.q!r} {pt.p!r}\n".encode())
+    assert code == 0
+    assert sink.digest.hexdigest() == expect.hexdigest()
+    assert peak < 1 << 18
 
 
 def test_classical_domain_error(capsys):

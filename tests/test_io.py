@@ -64,6 +64,8 @@ def test_state_malformed_entries():
         state_from_json('{"qubits": "x", "amplitudes": []}')
     with pytest.raises(ParseError, match=r"amplitudes\[0\]"):
         state_from_json('{"qubits": 1, "amplitudes": [[1.0], [0.0, 0.0]]}')
+    with pytest.raises(ParseError, match=r"amplitudes\[1\]"):
+        state_from_json('{"qubits": 1, "amplitudes": [[1.0, 0.0], [0, 1' + "0" * 400 + ']]}')
     with pytest.raises(ParseError):
         state_from_json("not json")
 
