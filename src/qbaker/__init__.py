@@ -45,17 +45,14 @@ from .gates import (
     dagger,
     elide_swaps,
     gate_count,
-    is_unitary,
     swap_gate,
 )
 from .kernels import get_num_threads, set_num_threads
 from .qft import (
-    DFT_PHASE_SIGN,
     dft_matrix,
     qft_block_circuit,
     qft_circuit,
     qft_residual,
-    resolve_phase_sign,
 )
 from .state import StateVector, basis_state, random_state
 from .weyl import PhaseSpaceOperators, WeylReport, build_operators, check_weyl
@@ -64,7 +61,6 @@ __all__ = [
     "__version__",
     "Circuit",
     "ClassicalPoint",
-    "DFT_PHASE_SIGN",
     "DomainError",
     "EchoConfig",
     "Gate",
@@ -100,7 +96,6 @@ __all__ = [
     "form_factor",
     "gate_count",
     "get_num_threads",
-    "is_unitary",
     "iterate",
     "loschmidt_echo",
     "momentum_distribution",
@@ -110,7 +105,6 @@ __all__ = [
     "qft_circuit",
     "qft_residual",
     "random_state",
-    "resolve_phase_sign",
     "set_num_threads",
     "swap_gate",
 ]

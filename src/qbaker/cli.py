@@ -6,8 +6,10 @@ physical memory, or failing check, 2 usage error.
 Check subcommands print machine-readable JSON with residuals; every file
 output gets a run manifest, recording the parsed arguments, written next
 to it.
-The QBAKER_THREADS environment variable sets the kernel worker count for
-large systems (default 1).
+The QBAKER_THREADS environment variable sets the worker count for circuit
+application (default 1); workers share out the chunks of the execution
+plan, so they apply to arrays of at least two chunks (L >= 17 for one
+state).
 """
 from __future__ import annotations
 

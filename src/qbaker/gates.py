@@ -15,13 +15,14 @@ qubit k ends up living at label ``relabel[k]``. Builders that realize an
 operator product written right-to-left perform that one reversal
 themselves, so nothing else reasons about product order.
 
-Every circuit application goes through ``_apply_circuit_array``. Arrays
-of at least two chunks of ``CHUNK_AMPLITUDES`` amplitudes run through a
-cached execution plan: the swap-elided circuit grouped into runs of gates
-that act inside chunks of 2^k consecutive basis rows (every B gate, and A
-on a label below k), each run applied chunk by chunk while the chunk is
-in cache, and the other gates as full passes. The result is bitwise equal
-to the gate-by-gate loop, which smaller arrays take.
+Every circuit application goes through ``_apply_circuit_array``, which
+runs a cached execution plan: the swap-elided circuit grouped into runs
+of gates that act inside chunks of 2^k consecutive basis rows (every B
+gate, and A on a label below k), each run applied chunk by chunk while
+the chunk is in cache. An A gate on a label m >= k runs alone in chunks
+of 2^(m+1) rows. An array of fewer than two chunks of
+``CHUNK_AMPLITUDES`` amplitudes is one chunk. The result is bitwise equal
+to applying the gates one by one to the whole array.
 """
 from __future__ import annotations
 
@@ -180,18 +181,9 @@ def gate_count(circuit: Circuit) -> GateCounts:
     return GateCounts(a, b, len(circuit.gates) - a - b)
 
 
-def _apply_gate_array(arr: np.ndarray, qubits: int, gate: Gate) -> None:
-    if gate.kind is GateKind.A:
-        kernels.hadamard(arr, qubits, gate.m)
-    elif gate.kind is GateKind.B:
-        kernels.cond_phase(arr, qubits, gate.m, gate.n, b_angle(gate))
-    else:
-        kernels.swap_bits(arr, qubits, gate.m, gate.n)
-
-
-# Execution plan for large arrays (see _plan). A chunk is 2^k consecutive
-# basis rows of the array, all its columns included, holding at most
-# CHUNK_AMPLITUDES amplitudes: 1 MiB of complex128, half of a 2 MiB L2 cache.
+# Execution plan (see _plan). A chunk is 2^k consecutive basis rows of the
+# array, all its columns included, holding at most CHUNK_AMPLITUDES
+# amplitudes: 1 MiB of complex128, half of a 2 MiB L2 cache.
 CHUNK_AMPLITUDES = 1 << 16
 # Smallest chunk height, as qubits. In a chunk of 2^k rows cond_phase touches
 # 2^(k-2) rows per column; at one row per column kernels._multiply switches
@@ -225,14 +217,15 @@ def _chunk_op(gate: Gate, k: int) -> tuple | None:
 def _plan(circuit: Circuit, k: int) -> tuple[tuple, tuple[int, ...]]:
     """The circuit as (steps, relabel) for chunks of 2^k rows.
 
-    The swap-elided gates are grouped into maximal runs of chunk-local
-    gates. Each step is a Gate applied to the whole array, or a tuple of
-    chunk operations applied chunk by chunk; the relabel follows the
-    steps. Every amplitude gets the same operations in the same order as
-    in the gate-by-gate loop, so the result is bitwise equal to it.
+    Each step is (height, ops): chunk operations applied chunk by chunk to
+    chunks of 2^height rows. The swap-elided gates are grouped into
+    maximal runs of chunk-local gates, at height k; an A gate on a label
+    m >= k is a one-op run at height m + 1. The relabel follows the steps.
+    Every amplitude gets the same operations in the same order as when
+    the gates are applied one by one, so the result is bitwise equal.
     """
     elided = elide_swaps(circuit)
-    steps: list = []
+    steps: list[tuple[int, tuple]] = []
     run: list[tuple] = []
     for g in elided.gates:
         op = _chunk_op(g, k)
@@ -240,19 +233,20 @@ def _plan(circuit: Circuit, k: int) -> tuple[tuple, tuple[int, ...]]:
             run.append(op)
             continue
         if run:
-            steps.append(tuple(run))
+            steps.append((k, tuple(run)))
             run = []
-        steps.append(g)
+        steps.append((g.m + 1, (_chunk_op(g, g.m + 1),)))
     if run:
-        steps.append(tuple(run))
+        steps.append((k, tuple(run)))
     return tuple(steps), elided.relabel
 
 
-def _chunk_qubits(size: int, qubits: int) -> int | None:
-    """Chunk height k for an array of `size` amplitudes, or None when the
-    array is below two chunks and takes the gate-by-gate loop."""
+def _chunk_qubits(size: int, qubits: int) -> int:
+    """Chunk height k for an array of `size` amplitudes: `qubits`, one
+    chunk, when the array holds fewer than two chunks or the height would
+    fall below MIN_CHUNK_QUBITS."""
     k = (CHUNK_AMPLITUDES // (size >> qubits)).bit_length() - 1
-    return k if MIN_CHUNK_QUBITS <= k < qubits else None
+    return k if MIN_CHUNK_QUBITS <= k < qubits else qubits
 
 
 def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
@@ -275,36 +269,20 @@ def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
 
 
 def _apply_circuit_array(arr: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Apply the circuit to the leading axis of `arr`; may return a new array.
-
-    Arrays of at least two chunks run through the cached plan, the rest
-    gate by gate.
-    """
+    """Apply the circuit to the leading axis of `arr` through its cached
+    plan; may return a new array."""
     qubits = circuit.qubits
-    k = _chunk_qubits(arr.size, qubits)
-    if k is None:
-        for g in circuit.gates:
-            _apply_gate_array(arr, qubits, g)
-        relabel = circuit.relabel
-    else:
-        steps, relabel = _plan(circuit, k)
-        for step in steps:
-            if isinstance(step, Gate):
-                _apply_gate_array(arr, qubits, step)
-            else:
-                kernels.run_chunks(functools.partial(_apply_run, arr, step, k), 1 << (qubits - k))
+    steps, relabel = _plan(circuit, _chunk_qubits(arr.size, qubits))
+    for height, ops in steps:
+        kernels.run_chunks(functools.partial(_apply_run, arr, ops, height), 1 << (qubits - height))
     if relabel != identity_permutation(qubits):
         arr = kernels.permute_bits(arr, qubits, relabel)
     return arr
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate to a copy of the state."""
-    for q in gate.labels():
-        if q >= state.qubits:
-            raise DomainError(f"gate label {q} outside state of {state.qubits} qubits")
-    arr = state.amplitudes.copy()
-    _apply_gate_array(arr, state.qubits, gate)
+    """Apply one gate to a copy of the state, as a one-gate circuit."""
+    arr = _apply_circuit_array(state.amplitudes.copy(), Circuit(state.qubits, (gate,)))
     return StateVector(state.qubits, arr)
 
 
@@ -368,8 +346,3 @@ def elide_swaps(circuit: Circuit) -> Circuit:
             out.append(g.relabeled(tuple(inv)))
     relabel = compose_permutations(circuit.relabel, tuple(sigma))
     return Circuit(circuit.qubits, tuple(out), relabel)
-
-
-def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    dim = mat.shape[0]
-    return bool(np.linalg.norm(mat.conj().T @ mat - np.eye(dim)) <= tol)

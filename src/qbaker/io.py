@@ -60,10 +60,12 @@ def state_from_json(text: str) -> StateVector:
     amps = obj.get("amplitudes")
     if not isinstance(amps, list):
         raise ParseError("field 'amplitudes': expected a list")
-    if len(amps) != (1 << qubits):
-        raise ParseError(
-            f"field 'amplitudes': expected 2^{qubits} = {1 << qubits} entries, got {len(amps)}"
-        )
+    # Compare bit lengths first, so a huge untrusted `qubits` is never
+    # shifted. No list holds 2^63 entries, so the count can match only
+    # below that, and only there is 2^qubits written out.
+    if len(amps).bit_length() != qubits + 1 or len(amps) != 1 << qubits:
+        expected = f"2^{qubits} = {1 << qubits}" if qubits < 63 else f"2^{qubits}"
+        raise ParseError(f"field 'amplitudes': expected {expected} entries, got {len(amps)}")
     out = np.empty(1 << qubits, dtype=np.complex128)
     for i, entry in enumerate(amps):
         if (

@@ -8,16 +8,14 @@ C-order layout lets every kernel reshape it into (high bits, target bit,
 rest) blocks. Each column of a (D, M) array gets the bits it would get as
 a (D,) state on its own.
 
-Kernels can partition the leading blocks across a shared thread pool for
-large systems. Every element is written exactly once, by the same formula
-from the same inputs, so results are independent of the partitioning.
-The execution plan in `gates` calls the kernels on chunks of consecutive
-rows and hands ranges of chunks to the same pool (`run_chunks`); kernels
-called inside such a range run serially.
+The kernels are serial. Threads come from the execution plan in `gates`,
+which calls the kernels on chunks of consecutive rows and hands ranges of
+chunks to a shared thread pool (`run_chunks`). Every element is written
+exactly once, by the same formula from the same inputs, so results are
+independent of the thread count.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -29,19 +27,17 @@ from .errors import DomainError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Threading kicks in only above this qubit count (smaller arrays are not
-# worth the dispatch overhead).
-THREAD_MIN_QUBITS = 16
-
 _lock = threading.Lock()
 _num_threads = 1
 _pool: ThreadPoolExecutor | None = None
-# `serial` is set in a pool worker while it runs a range of chunks.
-_worker = threading.local()
 
 
 def set_num_threads(n: int) -> None:
-    """Set the worker count for large-system kernels (default 1)."""
+    """Set the worker count for circuit application (default 1).
+
+    Workers share out the chunks of the execution plan, so they apply to
+    arrays of at least two chunks.
+    """
     global _num_threads, _pool
     if n < 1:
         raise DomainError(f"thread count must be >= 1, got {n}")
@@ -75,44 +71,23 @@ def _reset_after_fork() -> None:
 os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def _run_blocks(block_fn, nblocks: int, qubits: int) -> None:
-    n = _num_threads
-    if n <= 1 or qubits < THREAD_MIN_QUBITS or nblocks < n or getattr(_worker, "serial", False):
-        block_fn(0, nblocks)
-        return
-    _split(block_fn, nblocks, n)
-
-
-def _split(range_fn, count: int, n: int) -> None:
-    """Call range_fn(i0, i1) on n contiguous ranges of [0, count) in the pool."""
-    pool = _get_pool(n)
-    step = (count + n - 1) // n
-    futures = [pool.submit(range_fn, i0, min(i0 + step, count)) for i0 in range(0, count, step)]
-    for f in futures:
-        f.result()
-
-
-def _serially(chunk_fn, c0: int, c1: int) -> None:
-    _worker.serial = True
-    try:
-        chunk_fn(c0, c1)
-    finally:
-        _worker.serial = False
-
-
 def run_chunks(chunk_fn, nchunks: int) -> None:
     """Call chunk_fn(c0, c1) over the chunk indices [0, nchunks).
 
-    With more than one worker, each worker gets one contiguous range of
-    chunks, and the kernels called inside it run serially: a kernel that
-    handed its blocks to the pool from inside a worker could wait on a
-    pool with no free worker.
+    With n > 1 workers and at least n chunks, each worker gets one
+    contiguous range of chunks. This is the only code that submits to the
+    pool, and chunk_fn calls serial kernels, so no worker ever waits on
+    the pool.
     """
     n = _num_threads
     if n <= 1 or nchunks < n:
         chunk_fn(0, nchunks)
         return
-    _split(functools.partial(_serially, chunk_fn), nchunks, n)
+    pool = _get_pool(n)
+    step = (nchunks + n - 1) // n
+    futures = [pool.submit(chunk_fn, c0, min(c0 + step, nchunks)) for c0 in range(0, nchunks, step)]
+    for f in futures:
+        f.result()
 
 
 def _check_label(qubits: int, m: int) -> None:
@@ -123,19 +98,13 @@ def _check_label(qubits: int, m: int) -> None:
 def hadamard(arr: np.ndarray, qubits: int, m: int) -> None:
     """Mix amplitude pairs differing in bit m with (1,1;1,-1)/sqrt(2)."""
     _check_label(qubits, m)
-    hi = 1 << (qubits - 1 - m)
-    rest = arr.size >> (qubits - m)
-    view = arr.reshape(hi, 2, rest)
-
-    def block(b0: int, b1: int) -> None:
-        a = view[b0:b1, 0, :]
-        b = view[b0:b1, 1, :]
-        t = a + b
-        np.subtract(a, b, out=b)
-        b *= INV_SQRT2
-        np.multiply(t, INV_SQRT2, out=a)
-
-    _run_blocks(block, hi, qubits)
+    view = arr.reshape(1 << (qubits - 1 - m), 2, arr.size >> (qubits - m))
+    a = view[:, 0, :]
+    b = view[:, 1, :]
+    t = a + b
+    np.subtract(a, b, out=b)
+    b *= INV_SQRT2
+    np.multiply(t, INV_SQRT2, out=a)
 
 
 def cond_phase(arr: np.ndarray, qubits: int, m: int, n: int, angle: float) -> None:
@@ -147,16 +116,8 @@ def cond_phase(arr: np.ndarray, qubits: int, m: int, n: int, angle: float) -> No
     if m == n:
         raise DomainError("conditional phase needs two distinct qubits")
     phase = complex(math.cos(angle), math.sin(angle))
-    hi = 1 << (qubits - 1 - n)
-    mid = 1 << (n - 1 - m)
-    rest = arr.size >> (qubits - m)
-    cols = arr.size >> qubits
-    view = arr.reshape(hi, 2, mid, 2, rest)
-
-    def block(b0: int, b1: int) -> None:
-        _multiply(view[b0:b1, 1, :, 1, :], phase, cols)
-
-    _run_blocks(block, hi, qubits)
+    view = arr.reshape(1 << (qubits - 1 - n), 2, 1 << (n - 1 - m), 2, arr.size >> (qubits - m))
+    _multiply(view[:, 1, :, 1, :], phase, arr.size >> qubits)
 
 
 def swap_bits(arr: np.ndarray, qubits: int, m: int, n: int) -> None:
@@ -167,19 +128,12 @@ def swap_bits(arr: np.ndarray, qubits: int, m: int, n: int) -> None:
     _check_label(qubits, n)
     if m == n:
         raise DomainError("swap needs two distinct qubits")
-    hi = 1 << (qubits - 1 - n)
-    mid = 1 << (n - 1 - m)
-    rest = arr.size >> (qubits - m)
-    view = arr.reshape(hi, 2, mid, 2, rest)
-
-    def block(b0: int, b1: int) -> None:
-        a = view[b0:b1, 0, :, 1, :]
-        b = view[b0:b1, 1, :, 0, :]
-        t = a.copy()
-        a[...] = b
-        b[...] = t
-
-    _run_blocks(block, hi, qubits)
+    view = arr.reshape(1 << (qubits - 1 - n), 2, 1 << (n - 1 - m), 2, arr.size >> (qubits - m))
+    a = view[:, 0, :, 1, :]
+    b = view[:, 1, :, 0, :]
+    t = a.copy()
+    a[...] = b
+    b[...] = t
 
 
 def phase_on_one(arr: np.ndarray, qubits: int, m: int, angle: float | np.ndarray) -> None:
@@ -199,11 +153,7 @@ def phase_on_one(arr: np.ndarray, qubits: int, m: int, angle: float | np.ndarray
             raise DomainError(f"need one angle per column of {arr.shape}, got {np.shape(angle)}")
         phase = np.array([complex(math.cos(a), math.sin(a)) for a in angle])
         view = arr.reshape(hi, 2, 1 << m, cols)
-
-    def block(b0: int, b1: int) -> None:
-        _multiply(view[b0:b1, 1], phase, cols)
-
-    _run_blocks(block, hi, qubits)
+    _multiply(view[:, 1], phase, cols)
 
 
 def _multiply(target: np.ndarray, phase: complex | np.ndarray, cols: int) -> None:

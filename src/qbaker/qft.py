@@ -14,9 +14,8 @@ reversal into application order.
 Sign convention: the product above matches the dense transform only when
 the conditional phases carry the NEGATIVE angle, i.e. every B gate in the
 forward network is the conjugated variant (the positive-angle network
-realizes the elementwise conjugate, which is the inverse transform).
-:func:`resolve_phase_sign` re-derives this from scratch against the dense
-oracle and the test suite pins the outcome.
+realizes the elementwise conjugate, which is the inverse transform). The
+test suite re-derives this sign from scratch against the dense oracle.
 """
 from __future__ import annotations
 
@@ -33,11 +32,6 @@ from .gates import (
     circuit_to_matrix,
     swap_gate,
 )
-
-#: Sign of the conditional-phase angles that makes the gate network equal
-#: the dense position-to-momentum matrix. Resolved empirically; see
-#: resolve_phase_sign().
-DFT_PHASE_SIGN = -1
 
 
 def dft_matrix(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
@@ -56,17 +50,14 @@ def _bit_reversal_pairs(qubits: int) -> list[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def qft_circuit(qubits: int, *, phase_sign: int = DFT_PHASE_SIGN) -> Circuit:
+def qft_circuit(qubits: int) -> Circuit:
     """Gate network realizing the dense transform on `qubits` qubits."""
     if qubits < 1:
         raise DomainError(f"qubit count must be >= 1, got {qubits}")
-    if phase_sign not in (-1, 1):
-        raise DomainError(f"phase_sign must be +1 or -1, got {phase_sign}")
-    conj = phase_sign < 0
     gates = []
     for m in range(qubits - 1, -1, -1):
         for n in range(qubits - 1, m, -1):
-            gates.append(b_gate(m, n, conjugated=conj))
+            gates.append(b_gate(m, n, conjugated=True))
         gates.append(a_gate(m))
     for m, n in _bit_reversal_pairs(qubits):
         gates.append(swap_gate(m, n))
@@ -87,31 +78,10 @@ def qft_block_circuit(qubits: int, low_qubits: int) -> Circuit:
     return Circuit(qubits, inner.gates)
 
 
-def qft_residual(qubits: int, *, phase_sign: int = DFT_PHASE_SIGN) -> float:
+def qft_residual(qubits: int) -> float:
     """Frobenius distance between the gate network and the dense oracle."""
     # The oracle's size guard runs before the network (about L^2/2 gates)
     # is built, so a huge qubit count is refused without building it.
     oracle = dft_matrix(qubits)
-    mat = circuit_to_matrix(qft_circuit(qubits, phase_sign=phase_sign))
+    mat = circuit_to_matrix(qft_circuit(qubits))
     return float(np.linalg.norm(mat - oracle))
-
-
-def resolve_phase_sign(max_qubits: int = 4, tol: float = 1e-10) -> int:
-    """Determine the phase sign by brute-force match against the oracle.
-
-    Exactly one sign must reproduce the dense transform for every size up
-    to `max_qubits` (one qubit alone cannot distinguish them: there are no
-    two-qubit phases). Anything else means the gate-ordering assumption is
-    broken, which is a build-stopping defect, not a tolerance issue.
-    """
-    candidates = []
-    for sign in (1, -1):
-        if all(qft_residual(L, phase_sign=sign) <= tol for L in range(1, max_qubits + 1)):
-            candidates.append(sign)
-    if len(candidates) != 1:
-        raise RuntimeError(
-            "phase-sign resolution failed: matching signs "
-            f"{candidates or 'none'}; the network ordering does not realize "
-            "the dense transform for either sign"
-        )
-    return candidates[0]

@@ -70,8 +70,3 @@ def check_weyl(ops: PhaseSpaceOperators) -> WeylReport:
     )
     passed = commutation <= PASS_TOL and periodicity <= PASS_TOL
     return WeylReport(commutation, periodicity, passed)
-
-
-def cyclic_shift_matrix(dim: int) -> np.ndarray:
-    """Permutation sending position j to position j+1 mod dim."""
-    return np.roll(np.eye(dim), 1, axis=0)

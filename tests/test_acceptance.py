@@ -25,7 +25,8 @@ from qbaker import (
     qft_circuit,
     random_state,
 )
-from qbaker.weyl import cyclic_shift_matrix
+
+from oracles import cyclic_shift_matrix
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -16,10 +16,11 @@ from qbaker import (
     circuit_to_matrix,
     elide_swaps,
     gate_count,
-    is_unitary,
     iterate,
     random_state,
 )
+
+from oracles import is_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

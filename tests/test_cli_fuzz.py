@@ -3,10 +3,14 @@ rejected with exactly one `error:` line (exit 1), or a usage error (exit 2).
 
 Sizes stay where an accepted run is cheap or a guard refuses it before any
 allocation. Huge --ensemble, --nmax and --steps values are left out: the
-size of their output is not guarded yet.
+size of their output is not guarded yet. State files for `iterate --state`
+are fuzzed on their own, with any `qubits` value and a short amplitude list.
 """
 import contextlib
 import io
+import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -58,16 +62,39 @@ COMMANDS = {
 }
 
 
+def _run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_cli_exits_cleanly(command, data):
-    argv = data.draw(COMMANDS[command])
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    stderr = err.getvalue()
+    code, stderr = _run(data.draw(COMMANDS[command]))
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr
     if code == 1:
         assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
+STATE_QUBITS = st.one_of(st.integers(-2, 10**12), st.sampled_from([True, "x", 2**64]))
+SHORT_AMPLITUDES = st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qubits=STATE_QUBITS, amplitudes=SHORT_AMPLITUDES)
+def test_iterate_refuses_bad_state_files(qubits, amplitudes):
+    # --qubits 2 needs four amplitudes and the file holds at most three, so
+    # every file is refused, with its `qubits` read from untrusted input.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w") as fh:
+            json.dump({"qubits": qubits, "amplitudes": amplitudes}, fh)
+        code, stderr = _run(["iterate", "--qubits=2", f"--state={path}", "--steps=1"])
+    assert code == 1
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert stderr[len("error:"):].strip()

@@ -21,12 +21,13 @@ from qbaker import (
     dagger,
     elide_swaps,
     gate_count,
-    is_unitary,
     qft_circuit,
     random_state,
     swap_gate,
 )
 from qbaker.gates import inverse_permutation
+
+from oracles import is_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -68,6 +68,13 @@ def test_state_malformed_entries():
         state_from_json('{"qubits": 1, "amplitudes": [[1.0, 0.0], [0, 1' + "0" * 400 + ']]}')
     with pytest.raises(ParseError):
         state_from_json("not json")
+    with pytest.raises(ParseError, match=r"expected 2\^2 = 4 entries, got 1"):
+        state_from_json('{"qubits": 2, "amplitudes": [[1.0, 0.0]]}')
+    # A huge qubit count is refused without building 2^qubits.
+    with pytest.raises(ParseError, match=r"expected 2\^20000 entries, got 0"):
+        state_from_json('{"qubits": 20000, "amplitudes": []}')
+    with pytest.raises(ParseError, match=r"expected 2\^100000000000 entries, got 0"):
+        state_from_json('{"qubits": 100000000000, "amplitudes": []}')
 
 
 # --- circuit text -----------------------------------------------------------

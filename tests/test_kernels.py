@@ -1,9 +1,10 @@
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
-from qbaker import DomainError, apply_circuit, random_state, set_num_threads
+from qbaker import DomainError, apply_circuit, kernels, random_state, set_num_threads
 from qbaker.baker import baker_circuit
 from qbaker.kernels import (
     cond_phase,
@@ -126,8 +127,11 @@ def test_thread_count_validation():
     assert get_num_threads() == 1
 
 
-def _threaded_kernel_call() -> None:
-    hadamard(np.ones(1 << 16, dtype=complex), 16, 0)
+def _threaded_application() -> None:
+    # L = 17 is two chunks of the execution plan, so two workers each get one.
+    apply_circuit(random_state(17, 4), baker_circuit(17))
+    if kernels._pool is None:
+        sys.exit(3)
 
 
 def test_threaded_kernels_work_in_a_forked_child():
@@ -135,8 +139,8 @@ def test_threaded_kernels_work_in_a_forked_child():
     # its own pool instead of waiting on the inherited one.
     try:
         set_num_threads(2)
-        _threaded_kernel_call()
-        child = multiprocessing.get_context("fork").Process(target=_threaded_kernel_call)
+        _threaded_application()
+        child = multiprocessing.get_context("fork").Process(target=_threaded_application)
         child.start()
         child.join(timeout=30)
         if child.is_alive():
@@ -149,13 +153,15 @@ def test_threaded_kernels_work_in_a_forked_child():
 
 def test_threaded_application_bitwise_identical():
     # Contract: deterministic per (input, thread count); these kernels are
-    # elementwise, so the result is identical across counts too.
-    psi = random_state(16, 21)
-    circuit = baker_circuit(16)
+    # elementwise, so the result is identical across counts too. L = 18 is
+    # four chunks, one per worker.
+    psi = random_state(18, 21)
+    circuit = baker_circuit(18)
     single = apply_circuit(psi, circuit)
     try:
         set_num_threads(4)
         threaded = apply_circuit(psi, circuit)
+        assert kernels._pool is not None
     finally:
         set_num_threads(1)
     assert np.array_equal(single.amplitudes, threaded.amplitudes)

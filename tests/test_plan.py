@@ -1,7 +1,8 @@
 """The cache-blocked execution plan against the gate-by-gate loop.
 
-The plan must give the loop's bits exactly: every amplitude gets the same
-operations in the same order, only grouped chunk by chunk.
+The plan is the only way the library applies a circuit. It must give the
+bits of the loop below exactly: every amplitude gets the same operations
+in the same order, only grouped chunk by chunk.
 """
 import multiprocessing
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from qbaker import baker_circuit, dagger, qft_circuit, random_state, set_num_threads
 from qbaker import gates, kernels
-from qbaker.gates import Gate, GateKind
+from qbaker.gates import GateKind, a_gate, b_angle
 
 KERNEL_OF_OP = {
     gates._HADAMARD: "hadamard",
@@ -24,8 +25,14 @@ KERNEL_OF_OP = {
 
 def _gate_loop(arr: np.ndarray, circuit) -> np.ndarray:
     """The oracle: every gate on the whole array, in order, then the relabel."""
+    qubits = circuit.qubits
     for g in circuit.gates:
-        gates._apply_gate_array(arr, circuit.qubits, g)
+        if g.kind is GateKind.A:
+            kernels.hadamard(arr, qubits, g.m)
+        elif g.kind is GateKind.B:
+            kernels.cond_phase(arr, qubits, g.m, g.n, b_angle(g))
+        else:
+            kernels.swap_bits(arr, qubits, g.m, g.n)
     if not circuit.has_identity_relabel():
         arr = kernels.permute_bits(arr, circuit.qubits, circuit.relabel)
     return arr
@@ -59,28 +66,49 @@ def test_plan_matches_gate_loop_at_every_chunk_height(monkeypatch, qubits, cols)
             assert np.array_equal(got, expect), (k, circuit.gates[0])
 
 
+@pytest.mark.parametrize("qubits", range(1, 15))
+@pytest.mark.parametrize("cols", [1, 3, 50, 200])
+def test_plan_matches_gate_loop_sweep(qubits, cols):
+    # At the library's own chunk size: M = 1 and 3 are one chunk; M = 50
+    # runs in chunks of 2^10 rows from L = 11 on, M = 200 in chunks of 2^8
+    # rows from L = 9 on.
+    arr = _random_columns(qubits, cols, 1000 * qubits + cols)
+    for circuit in (baker_circuit(qubits), qft_circuit(qubits), dagger(qft_circuit(qubits))):
+        got = gates._apply_circuit_array(arr.copy(), circuit)
+        assert np.array_equal(got, _gate_loop(arr.copy(), circuit)), circuit.gates[0]
+
+
 def test_plan_reaches_every_branch():
     # At L = 8 with chunks of 2^4 rows: B below, straddling and above the
-    # chunk height, A below it, and A above it as a full pass.
-    steps, _ = gates._plan(baker_circuit(8), 4)
-    kinds = {op[0] for step in steps if isinstance(step, tuple) for op in step}
+    # chunk height, A below it, and A above it as a run of its own.
+    k = 4
+    circuit = baker_circuit(8)
+    steps, _ = gates._plan(circuit, k)
+    kinds = {op[0] for height, ops in steps if height == k for op in ops}
     assert kinds == set(KERNEL_OF_OP)
-    full = [step for step in steps if isinstance(step, Gate)]
-    assert full and all(g.kind is GateKind.A and g.m >= 4 for g in full)
+    # Every gate that is not chunk-local is A on a label m >= k, run alone
+    # in chunks of 2^(m+1) rows.
+    single = [(height, ops) for height, ops in steps if height != k]
+    assert single and all(
+        height > k and ops == ((gates._HADAMARD, height - 1, 0, 0.0, 0),) for height, ops in single
+    )
+    elided = gates.elide_swaps(circuit).gates
+    assert [g for g in elided if gates._chunk_op(g, k) is None] == [a_gate(h - 1) for h, _ in single]
 
 
-def test_small_arrays_skip_the_plan(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("plan built for a small array")
-
-    monkeypatch.setattr(gates, "_plan", refuse)
-    assert gates._chunk_qubits(8 * 200, 3) is None       # echo at L = 3, 200 members
-    assert gates._chunk_qubits(1 << 16, 16) is None      # one chunk
-    for qubits, cols in [(3, 200), (16, 1), (9, 64)]:
+def test_small_arrays_run_as_one_chunk():
+    assert gates._chunk_qubits(8 * 200, 3) == 3          # echo at L = 3, 200 members
+    assert gates._chunk_qubits(1 << 16, 16) == 16        # one chunk
+    assert gates._chunk_qubits(8 << 14, 3) == 3          # two chunks, each below 2^3 rows
+    # (3, 2^15) would be chunks of 2 rows, where the inverse QFT's bits
+    # differ from the loop's.
+    for qubits, cols in [(3, 200), (16, 1), (9, 64), (3, 1 << 14), (3, 1 << 15)]:
         arr = _random_columns(qubits, cols, qubits)
-        circuit = baker_circuit(qubits)
-        expect = _gate_loop(arr.copy(), circuit)
-        assert np.array_equal(gates._apply_circuit_array(arr, circuit), expect)
+        for circuit in (baker_circuit(qubits), dagger(qft_circuit(qubits))):
+            steps, _ = gates._plan(circuit, gates._chunk_qubits(arr.size, qubits))
+            assert [height for height, _ in steps] == [qubits]
+            expect = _gate_loop(arr.copy(), circuit)
+            assert np.array_equal(gates._apply_circuit_array(arr.copy(), circuit), expect)
 
 
 def test_plan_calls_kernels_through_the_module(monkeypatch):
@@ -100,14 +128,12 @@ def test_plan_calls_kernels_through_the_module(monkeypatch):
     gates._apply_circuit_array(psi, circuit)
 
     steps, _ = gates._plan(circuit, k)
-    chunks = range(1 << (qubits - k))
     expect = Counter(permute_bits=1)
-    for step in steps:
-        if isinstance(step, Gate):  # a full pass: only A above the chunk height
-            assert step.kind is GateKind.A and step.m >= k
-            expect["hadamard"] += 1
-            continue
-        for kind, _, _, _, mask in step:
+    for height, ops in steps:
+        # A single-A run above the chunk height calls the kernel once per
+        # chunk of 2^height rows, as a chunk-local run does per chunk.
+        chunks = range(1 << (qubits - height))
+        for kind, _, _, _, mask in ops:
             if KERNEL_OF_OP[kind] is not None:
                 expect[KERNEL_OF_OP[kind]] += sum(1 for c in chunks if c & mask == mask)
     assert calls == expect

@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import block_diag
 
 from qbaker import (
-    DFT_PHASE_SIGN,
     DomainError,
     GateKind,
     SizeError,
@@ -15,8 +14,9 @@ from qbaker import (
     gate_count,
     qft_block_circuit,
     qft_circuit,
-    resolve_phase_sign,
 )
+
+from oracles import DFT_PHASE_SIGN, qft_circuit_with_sign, resolve_phase_sign
 
 
 def test_dft_matrix_one_qubit():
@@ -47,7 +47,7 @@ def test_phase_sign_resolution():
     assert resolve_phase_sign() == DFT_PHASE_SIGN == -1
     # The rejected sign fails decisively for every size with phase gates.
     for L in (2, 3, 4):
-        mat = circuit_to_matrix(qft_circuit(L, phase_sign=+1))
+        mat = circuit_to_matrix(qft_circuit_with_sign(L, +1))
         assert np.linalg.norm(mat - dft_matrix(L)) > 0.5
 
 

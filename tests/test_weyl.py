@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from qbaker import SizeError, build_operators, check_weyl, dft_matrix
-from qbaker.weyl import cyclic_shift_matrix
+
+from oracles import cyclic_shift_matrix
 
 
 def test_u_is_diagonal_phases():
