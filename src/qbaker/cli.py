@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (and passing checks), 1 domain error, unreadable
-input, a size numpy cannot allocate, a state or gate network larger than
-physical memory, or failing check, 2 usage error.
+input, a size numpy cannot allocate, a state, gate network or echo or
+form-factor output larger than physical memory, or failing check, 2 usage
+error.
 Check subcommands print machine-readable JSON with residuals; every file
 output gets a run manifest, recording the parsed arguments, written next
 to it.
@@ -21,7 +22,7 @@ from typing import Callable
 
 from . import __version__, io, kernels
 from .baker import ClassicalPoint, baker_circuit, baker_matrix, classical_step
-from .dynamics import EchoConfig, form_factor, iterate, loschmidt_echo
+from .dynamics import ECHO_BATCH_AMPLITUDES, EchoConfig, form_factor, iterate, loschmidt_echo
 from .errors import DomainError, SizeError
 from .qft import qft_residual
 from .state import NORM_TOL, basis_state
@@ -34,6 +35,18 @@ MATRIX_DUMP_LIMIT_LARGE = 12
 # cached Fourier networks they are built from, and the text. Measured as
 # 316-354 bytes at L = 200-800 on 64-bit CPython 3.11, and rounded up.
 CIRCUIT_BYTES_PER_GATE = 512
+# Peak bytes of `echo` per member, and per (step, member) row on top of
+# that: the record's five float64 fields and the CSV line (64 characters
+# on average, about 100 at most), held in the line list and again in the
+# joined text. Measured with tracemalloc as about 650 bytes per member and
+# 290 per row at L = 1-3, and rounded up; each row also holds the member's
+# kick angles, 8 bytes per qubit.
+ECHO_MEMBER_BYTES = 1024
+ECHO_ROW_BYTES = 384
+# Peak bytes of `formfactor` per n: the trace, |trace|^2 / D and the CSV
+# line in the line list and the joined text. Measured as about 140 bytes,
+# and rounded up. The dense matrices stay behind the dense size guard.
+FORM_FACTOR_ROW_BYTES = 256
 
 
 def _emit(text: str, args: argparse.Namespace, seed: int | None = None) -> None:
@@ -76,7 +89,7 @@ def cmd_weyl_check(args: argparse.Namespace) -> int:
 
 def cmd_baker(args: argparse.Namespace) -> int:
     if args.form == "circuit":
-        _check_memory("gate network", args.qubits, _circuit_bytes)
+        _check_memory("gate network", args, _circuit_bytes)
         text = io.circuit_to_text(baker_circuit(args.qubits))
     else:
         limit = MATRIX_DUMP_LIMIT_LARGE if args.allow_large else MATRIX_DUMP_LIMIT
@@ -90,33 +103,48 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_memory(what: str, qubits: int, bytes_needed: Callable[[int], int]) -> None:
-    """Refuse a request whose estimated size exceeds physical memory,
-    before anything of that size is allocated."""
-    if qubits < 1:
-        raise DomainError(f"qubit count must be >= 1, got {qubits}")
-    need = bytes_needed(qubits)
+def _check_memory(what: str, args: argparse.Namespace,
+                  bytes_needed: Callable[[argparse.Namespace], int]) -> None:
+    """Refuse a request whose estimated size, a function of the parsed
+    arguments, exceeds physical memory, before anything of that size is
+    allocated."""
+    if args.qubits < 1:
+        raise DomainError(f"qubit count must be >= 1, got {args.qubits}")
+    need = bytes_needed(args)
     have = _physical_memory_bytes()
     if need > have:
         raise SizeError(
-            f"{what} for {qubits} qubits needs about {need} bytes, "
+            f"{what} for {args.qubits} qubits needs about {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
 
 
-def _state_bytes(qubits: int) -> int:
+def _state_bytes(args: argparse.Namespace) -> int:
     # Three D-vectors of complex128: the input, the working copy and the
     # kernel temporaries.
-    return 3 * 16 * (1 << qubits)
+    return 3 * 16 * (1 << args.qubits)
 
 
-def _circuit_bytes(qubits: int) -> int:
+def _circuit_bytes(args: argparse.Namespace) -> int:
     # baker_circuit(L) has L^2 + L - 1 gates.
-    return CIRCUIT_BYTES_PER_GATE * (qubits * qubits + qubits - 1)
+    return CIRCUIT_BYTES_PER_GATE * (args.qubits * args.qubits + args.qubits - 1)
+
+
+def _echo_bytes(args: argparse.Namespace) -> int:
+    # The reference state and one batch of member columns, then the records
+    # and the CSV text of every member.
+    batch = min(args.ensemble, max(1, ECHO_BATCH_AMPLITUDES >> args.qubits))
+    rows = (args.steps + 1) * args.ensemble
+    return (_state_bytes(args) * (1 + batch) + ECHO_MEMBER_BYTES * args.ensemble
+            + (ECHO_ROW_BYTES + 8 * args.qubits) * rows)
+
+
+def _form_factor_bytes(args: argparse.Namespace) -> int:
+    return FORM_FACTOR_ROW_BYTES * args.nmax
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
-    _check_memory("state", args.qubits, _state_bytes)
+    _check_memory("state", args, _state_bytes)
     if args.state is not None:
         state = io.read_state(args.state)
         if state.qubits != args.qubits:
@@ -135,13 +163,14 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 def cmd_echo(args: argparse.Namespace) -> int:
     cfg = EchoConfig(args.qubits, args.steps, args.delta, args.ensemble, args.seed)
-    _check_memory("state", cfg.qubits, _state_bytes)
+    _check_memory("echo states, records and CSV", args, _echo_bytes)
     records = loschmidt_echo(cfg)
     _emit(io.echo_records_to_csv(records), args, args.seed)
     return 0
 
 
 def cmd_formfactor(args: argparse.Namespace) -> int:
+    _check_memory("form factor records and CSV", args, _form_factor_bytes)
     values = form_factor(args.qubits, args.nmax)
     _emit(io.form_factor_to_csv(values), args)
     return 0

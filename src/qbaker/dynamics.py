@@ -208,9 +208,11 @@ def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
     two plus position and momentum entropies of the perturbed state.
 
     The unperturbed trajectory is evolved once, as a (D,) state, and the
-    members together as the columns of one (D, M) array. Every column gets
-    the bits it would get evolved on its own, so the output is bitwise
-    reproducible from the config and independent of how members are batched.
+    members together as the columns of one (D, M) array. The output is
+    bitwise reproducible from the config. Below `gates.FUSE_MIN_QUBITS`
+    every column gets the bits it would get evolved on its own, so the
+    output is also independent of how members are batched; from there on
+    the fused execution plan makes columns agree with lone states to 1e-12.
     """
     size = max(1, ECHO_BATCH_AMPLITUDES >> cfg.qubits)
     records: list[TrajectoryRecord] = []

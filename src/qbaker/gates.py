@@ -21,8 +21,13 @@ of gates that act inside chunks of 2^k consecutive basis rows (every B
 gate, and A on a label below k), each run applied chunk by chunk while
 the chunk is in cache. An A gate on a label m >= k runs alone in chunks
 of 2^(m+1) rows. An array of fewer than two chunks of
-``CHUNK_AMPLITUDES`` amplitudes is one chunk. The result is bitwise equal
-to applying the gates one by one to the whole array.
+``CHUNK_AMPLITUDES`` amplitudes is one chunk. Below ``FUSE_MIN_QUBITS``
+the result is bitwise equal to applying the gates one by one to the whole
+array, and each column of a (D, M) array gets the bits of a lone state.
+From ``FUSE_MIN_QUBITS`` on, each sequence of B gates in a run that share
+one label is fused into one multiply by a phase table: the result is then
+deterministic for a given array shape and thread count, and agrees with
+the gate loop, and each column with a lone state, to 1e-12.
 """
 from __future__ import annotations
 
@@ -141,7 +146,9 @@ class Circuit:
     """Ordered gate list plus a pending relabel permutation.
 
     The realized unitary applies the gates first to last, then moves the
-    value of qubit k to label relabel[k].
+    value of qubit k to label relabel[k]. The hash is computed once, at
+    construction, so looking a circuit up in the plan cache costs O(1)
+    rather than one hash per gate.
     """
 
     qubits: int
@@ -163,6 +170,10 @@ class Circuit:
             for q in g.labels():
                 if q >= self.qubits:
                     raise DomainError(f"gate label {q} outside circuit of {self.qubits} qubits")
+        object.__setattr__(self, "_hash", hash((self.qubits, self.gates, self.relabel)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def has_identity_relabel(self) -> bool:
         return self.relabel == identity_permutation(self.qubits)
@@ -189,11 +200,16 @@ CHUNK_AMPLITUDES = 1 << 16
 # 2^(k-2) rows per column; at one row per column kernels._multiply switches
 # to real arithmetic, whose last bit could differ from the full pass.
 MIN_CHUNK_QUBITS = 3
+# Smallest circuit whose plans fuse B-gate runs into phase tables: the size
+# at which one state spans two chunks. Fused products round differently
+# from the gate loop, so smaller circuits (the echo goldens among them) keep
+# the loop's bits.
+FUSE_MIN_QUBITS = 17
 
-# Chunk operations: (kind, m, n, value, mask). The value is the angle, or
-# the phase itself for a whole-chunk phase; the operation acts on the chunks
-# whose index has every bit of the mask set.
-_HADAMARD, _COND_PHASE, _PHASE_ON_ONE, _CHUNK_PHASE = range(4)
+# Chunk operations: (kind, m, n, value, mask). The value is the angle, the
+# phase itself for a whole-chunk phase, or the tables of a fused phase; the
+# operation acts on the chunks whose index has every bit of the mask set.
+_HADAMARD, _COND_PHASE, _PHASE_ON_ONE, _CHUNK_PHASE, _FUSED_PHASE = range(5)
 
 
 def _chunk_op(gate: Gate, k: int) -> tuple | None:
@@ -213,31 +229,91 @@ def _chunk_op(gate: Gate, k: int) -> tuple | None:
     return (_CHUNK_PHASE, 0, 0, phase, (1 << (gate.m - k)) | (1 << (gate.n - k)))
 
 
+def _fused_phase_op(gates: list[Gate], s: int, k: int) -> tuple:
+    """B gates that all carry label s as one operation on a chunk of 2^k rows.
+
+    Together they multiply the rows with bit s set by e^{i sum theta_p b_p}
+    over the partner labels p. The partners below k span bits [a, b) of the
+    row index; the phase on them is one table over that span, or, if the
+    span is wider than ceil(k/2) bits, the product of two tables over its
+    halves, each shaped to broadcast over a view of the chunk. A partner
+    p >= k is a constant bit of the chunk index: `outer` holds (chunk bit,
+    angle) for each, summed per chunk into one factor. For s < k the view
+    is the half of the chunk with bit s set; for s >= k it is the whole
+    chunk, on the chunks whose mask bit is set.
+    """
+    partners = [(g.n if g.m == s else g.m, b_angle(g)) for g in gates]
+    outer = tuple((1 << (p - k), theta) for p, theta in partners if p >= k)
+    inner = sorted(p for p, _ in partners if p < k)
+    spans = []
+    if inner:
+        a, b = inner[0], inner[-1] + 1
+        h = (a + b) // 2
+        spans = [(a, b)] if b - a <= (k + 1) // 2 else [(h, b), (a, h)]
+    cuts = sorted({0, k, s, s + 1}.union(*spans) if s < k else {0, k}.union(*spans))
+    # Axes of the view, most significant bits first; bit s has an axis of
+    # its own, where the view takes 1 and each table 0 (no partner is s).
+    segments = list(zip(cuts, cuts[1:]))[::-1]
+    shape = tuple(1 << (hi - lo) for lo, hi in segments) + (-1,)
+    axis = segments.index((s, s + 1)) if s < k else None
+    tables = []
+    for lo, hi in spans:
+        row = np.arange(1 << (hi - lo))
+        angle = sum(theta * ((row >> (p - lo)) & 1) for p, theta in partners if lo <= p < hi)
+        table = np.exp(1j * angle).reshape([1 << (b - a) if lo <= a < hi else 1 for a, b in segments])
+        tables.append((table if axis is None else table.take(0, axis))[..., None])
+    if axis is None:
+        return (_FUSED_PHASE, s, 0, (shape, (), tuple(tables), outer), 1 << (s - k))
+    return (_FUSED_PHASE, s, 0, (shape, (slice(None),) * axis + (1,), tuple(tables), outer), 0)
+
+
+def _run_ops(gates: list[Gate], k: int, fuse: bool) -> tuple:
+    """Operations for a run of chunk-local gates; with `fuse`, each maximal
+    sequence of two or more B gates that share a label becomes one fused
+    phase."""
+    ops = []
+    i = 0
+    while i < len(gates):
+        end, shared = i + 1, set(gates[i].labels())
+        if fuse and gates[i].kind is GateKind.B:
+            while (end < len(gates) and gates[end].kind is GateKind.B
+                   and shared & set(gates[end].labels())):
+                shared &= set(gates[end].labels())
+                end += 1
+        if end - i > 1:
+            ops.append(_fused_phase_op(gates[i:end], min(shared), k))
+        else:
+            ops.append(_chunk_op(gates[i], k))
+        i = end
+    return tuple(ops)
+
+
 @functools.lru_cache(maxsize=64)
-def _plan(circuit: Circuit, k: int) -> tuple[tuple, tuple[int, ...]]:
+def _plan(circuit: Circuit, k: int, fuse: bool) -> tuple[tuple, tuple[int, ...]]:
     """The circuit as (steps, relabel) for chunks of 2^k rows.
 
     Each step is (height, ops): chunk operations applied chunk by chunk to
     chunks of 2^height rows. The swap-elided gates are grouped into
     maximal runs of chunk-local gates, at height k; an A gate on a label
     m >= k is a one-op run at height m + 1. The relabel follows the steps.
-    Every amplitude gets the same operations in the same order as when
-    the gates are applied one by one, so the result is bitwise equal.
+    Without `fuse`, every amplitude gets the same operations in the same
+    order as when the gates are applied one by one, so the result is
+    bitwise equal. With it, each sequence of B gates that share a label is
+    one phase-table multiply, equal to the gates to rounding.
     """
     elided = elide_swaps(circuit)
     steps: list[tuple[int, tuple]] = []
-    run: list[tuple] = []
+    run: list[Gate] = []
     for g in elided.gates:
-        op = _chunk_op(g, k)
-        if op is not None:
-            run.append(op)
+        if _chunk_op(g, k) is not None:
+            run.append(g)
             continue
         if run:
-            steps.append((k, tuple(run)))
+            steps.append((k, _run_ops(run, k, fuse)))
             run = []
         steps.append((g.m + 1, (_chunk_op(g, g.m + 1),)))
     if run:
-        steps.append((k, tuple(run)))
+        steps.append((k, _run_ops(run, k, fuse)))
     return tuple(steps), elided.relabel
 
 
@@ -264,15 +340,31 @@ def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
                 continue
             elif kind == _PHASE_ON_ONE:
                 kernels.phase_on_one(chunk, k, m, value)
-            else:
+            elif kind == _CHUNK_PHASE:
                 chunk *= value
+            else:
+                _apply_phase_tables(chunk, c, *value)
+
+
+def _apply_phase_tables(chunk: np.ndarray, c: int, shape: tuple, index: tuple,
+                        tables: tuple, outer: tuple) -> None:
+    # A fused phase (see _fused_phase_op) on chunk number c.
+    angle = sum(theta for bit, theta in outer if c & bit)
+    if angle:
+        phase = complex(math.cos(angle), math.sin(angle))
+        tables = (tables[0] * phase,) + tables[1:] if tables else (phase,)
+    if tables:
+        target = chunk.reshape(shape)[index]
+        for table in tables:
+            target *= table
 
 
 def _apply_circuit_array(arr: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply the circuit to the leading axis of `arr` through its cached
     plan; may return a new array."""
     qubits = circuit.qubits
-    steps, relabel = _plan(circuit, _chunk_qubits(arr.size, qubits))
+    k = _chunk_qubits(arr.size, qubits)
+    steps, relabel = _plan(circuit, k, qubits >= FUSE_MIN_QUBITS)
     for height, ops in steps:
         kernels.run_chunks(functools.partial(_apply_run, arr, ops, height), 1 << (qubits - height))
     if relabel != identity_permutation(qubits):

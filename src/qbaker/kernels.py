@@ -6,7 +6,10 @@ or (D, M) for M columns sharing the transformation (only `phase_on_one`
 also takes one angle per column); the leading axis is the basis index and
 C-order layout lets every kernel reshape it into (high bits, target bit,
 rest) blocks. Each column of a (D, M) array gets the bits it would get as
-a (D,) state on its own.
+a (D,) state on its own. (The execution plan in `gates` keeps that
+guarantee only below `gates.FUSE_MIN_QUBITS`: from there on it replaces
+runs of `cond_phase` and `phase_on_one` calls by its own phase-table
+multiplies, which agree with these kernels to 1e-12.)
 
 The kernels are serial. Threads come from the execution plan in `gates`,
 which calls the kernels on chunks of consecutive rows and hands ranges of

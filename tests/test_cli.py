@@ -306,6 +306,21 @@ def test_state_size_guard_admits_what_fits(capsys, monkeypatch):
     assert code == 0 and stdout.startswith("qubits 40\n")
 
 
+def test_output_size_guard_counts_records_and_text(capsys, monkeypatch):
+    # Under a patched 1 MiB: 4000 form-factor rows at 256 bytes fit and 5000
+    # do not; 200 echo rows fit and 4000 (800 steps, 5 members) do not.
+    monkeypatch.setattr("qbaker.cli._physical_memory_bytes", lambda: 1 << 20)
+    code, stdout, _ = run(capsys, "formfactor", "--qubits", "2", "--nmax", "4000")
+    assert code == 0 and stdout.count("\n") == 4001
+    code, _, err = run(capsys, "formfactor", "--qubits", "2", "--nmax", "5000")
+    assert code == 1 and "physical memory" in err and err.count("\n") == 1
+    echo = ("echo", "--qubits", "3", "--delta", "0.1", "--ensemble", "5", "--seed", "0")
+    code, stdout, _ = run(capsys, *echo, "--steps", "39")
+    assert code == 0 and stdout.count("\n") == 201
+    code, _, err = run(capsys, *echo, "--steps", "799")
+    assert code == 1 and "physical memory" in err and err.count("\n") == 1
+
+
 def test_echo_writes_csv_and_manifest(tmp_path, capsys):
     out = tmp_path / "echo.csv"
     code, _, _ = run(

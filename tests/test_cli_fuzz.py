@@ -2,15 +2,19 @@
 rejected with exactly one `error:` line (exit 1), or a usage error (exit 2).
 
 Sizes stay where an accepted run is cheap or a guard refuses it before any
-allocation. Huge --ensemble, --nmax and --steps values are left out: the
-size of their output is not guarded yet. State files for `iterate --state`
-are fuzzed on their own, with any `qubits` value and a short amplitude list.
+allocation. Huge `echo --ensemble`/`--steps` and `formfactor --nmax` values
+are fuzzed on their own, with the memory probe patched down and the
+commands' work replaced by a failure, so they must be refused from the
+parsed arguments alone. (`iterate --steps` and `classical --steps` hold
+nothing per step.) State files for `iterate --state` are fuzzed on their
+own, with any `qubits` value and a short amplitude list.
 """
 import contextlib
 import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -98,3 +102,34 @@ def test_iterate_refuses_bad_state_files(qubits, amplitudes):
     assert "Traceback" not in stderr
     assert stderr.startswith("error:") and stderr.count("\n") == 1
     assert stderr[len("error:"):].strip()
+
+
+HUGE = st.sampled_from([10**7, 10**9, 2**40, 10**18])
+COUNTS = st.one_of(st.integers(1, 5), HUGE)
+HUGE_COMMANDS = {
+    "echo": st.one_of(
+        st.tuples(st.integers(1, 5), HUGE, COUNTS), st.tuples(st.integers(1, 5), COUNTS, HUGE)
+    ).map(lambda a: ["echo", *_flags(qubits=a[0], steps=a[1], delta=0.05, ensemble=a[2], seed=1)]),
+    "formfactor": st.builds(
+        lambda q, n: ["formfactor", *_flags(qubits=q, nmax=n)], st.integers(1, 5), HUGE
+    ),
+}
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("work started past the size guard")
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_huge_outputs_are_refused_before_any_work(command, data):
+    # 10^7 rows of echo or form-factor output need more than the 1 GiB the
+    # probe reports; nothing is ever allocated for them.
+    argv = data.draw(HUGE_COMMANDS[command])
+    with mock.patch("qbaker.cli._physical_memory_bytes", lambda: 1 << 30), \
+            mock.patch("qbaker.cli.loschmidt_echo", _never_called), \
+            mock.patch("qbaker.cli.form_factor", _never_called):
+        code, stderr = _run(argv)
+    assert code == 1
+    assert stderr.startswith("error:") and "physical memory" in stderr and stderr.count("\n") == 1

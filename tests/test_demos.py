@@ -15,3 +15,23 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(DEMO_DIR / name), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip()
+
+
+def test_verify_constructions_runs_the_fused_plan(monkeypatch, capsys):
+    # The demo's last section takes one map step at FUSE_MIN_QUBITS through
+    # the fused plan and prints its deviation from the FFT form.
+    from qbaker import gates
+
+    calls = []
+
+    def counted(*args, _fn=gates._apply_phase_tables):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(gates, "_apply_phase_tables", counted)
+    monkeypatch.setattr(sys, "argv", ["verify_constructions.py"])
+    runpy.run_path(str(DEMO_DIR / "verify_constructions.py"), run_name="__main__")
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith(f"L = {gates.FUSE_MIN_QUBITS}: max abs deviation ")
+    assert float(last.split()[-1]) <= 1e-12
+    assert calls
