@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (and passing checks), 1 domain error, unreadable
-input, a size numpy cannot allocate, a state, gate network or echo or
-form-factor output larger than physical memory, or failing check, 2 usage
-error.
+input, a size numpy cannot allocate, a request `main` sizes above physical
+memory, or failing check, 2 usage error.
 Check subcommands print machine-readable JSON with residuals; every file
 output gets a run manifest, recording the parsed arguments, written next
 to it.
@@ -18,34 +17,48 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
 
 from . import __version__, io, kernels
 from .baker import ClassicalPoint, baker_circuit, baker_matrix, classical_step
-from .dynamics import ECHO_BATCH_AMPLITUDES, EchoConfig, form_factor, iterate, loschmidt_echo
+from .dynamics import EchoConfig, echo_batch_size, form_factor, iterate, loschmidt_echo
 from .errors import DomainError, SizeError
+from .gates import MAX_DENSE_QUBITS
 from .qft import qft_residual
 from .state import NORM_TOL, basis_state
 from .weyl import PASS_TOL, build_operators, check_weyl
 
 QFT_CHECK_TOL = 1e-10
-MATRIX_DUMP_LIMIT = 10
 MATRIX_DUMP_LIMIT_LARGE = 12
-# Peak resident bytes per gate of `baker --form circuit`: the gates, the
-# cached Fourier networks they are built from, and the text. Measured as
-# 316-354 bytes at L = 200-800 on 64-bit CPython 3.11, and rounded up.
+# The size model. Each constant is a peak measured on 64-bit CPython 3.11
+# with numpy 2.4, as the slope between two or more sizes of the tracemalloc
+# peak of an in-process run (and of ru_maxrss where given), rounded up.
+# Bytes per [re, im] pair of state or matrix JSON: the pair's list and
+# floats, the text chunks json.dumps joins, and the joined text. Measured
+# as 225-226 (state, L = 16 and 18; matrix, L = 8-10); whole `iterate`
+# runs, two states included, peak at 259 per amplitude (266-270 by
+# ru_maxrss, L = 18 and 20) and `baker --form matrix` runs, the matrix
+# included, at 242 per entry (270 by ru_maxrss, L = 9 and 10).
+JSON_PAIR_BYTES = 320
+# Bytes per gate of `baker --form circuit`: the gates, the cached Fourier
+# networks they are built from, and the text. Measured as 304 (339 by
+# ru_maxrss) between L = 200 and 400.
 CIRCUIT_BYTES_PER_GATE = 512
-# Peak bytes of `echo` per member, and per (step, member) row on top of
-# that: the record's five float64 fields and the CSV line (64 characters
-# on average, about 100 at most), held in the line list and again in the
-# joined text. Measured with tracemalloc as about 650 bytes per member and
-# 290 per row at L = 1-3, and rounded up; each row also holds the member's
-# kick angles, 8 bytes per qubit.
+# Bytes of `echo` per amplitude of each column a batch holds (the reference
+# and the batch's members): the columns, their transposed copy for the
+# records, and the copies the execution plan and the momentum transform
+# make. Measured as 61-72 at L = 14-18 (67-74 by ru_maxrss, L = 17 and 18).
+ECHO_COLUMN_BYTES = 96
+# Bytes of `echo` per member, and per (step, member) row on top of that:
+# the record's five float64 fields and the CSV line (64 characters on
+# average, about 100 at most), held in the line list and again in the
+# joined text. Measured as 637 per member and 284-288 per row at L = 3;
+# each row also holds the member's kick angles, 8 bytes per qubit.
 ECHO_MEMBER_BYTES = 1024
 ECHO_ROW_BYTES = 384
-# Peak bytes of `formfactor` per n: the trace, |trace|^2 / D and the CSV
-# line in the line list and the joined text. Measured as about 140 bytes,
-# and rounded up. The dense matrices stay behind the dense size guard.
+# Bytes of `formfactor` per n: the trace, |trace|^2 / D and the CSV line in
+# the line list and the joined text. Measured as 140 at n = 2-4 x 10^4. The
+# dense matrices stay behind the dense size guard (about 68 bytes per entry,
+# 71 MB at its limit of 10 qubits).
 FORM_FACTOR_ROW_BYTES = 256
 
 
@@ -89,10 +102,9 @@ def cmd_weyl_check(args: argparse.Namespace) -> int:
 
 def cmd_baker(args: argparse.Namespace) -> int:
     if args.form == "circuit":
-        _check_memory("gate network", args, _circuit_bytes)
         text = io.circuit_to_text(baker_circuit(args.qubits))
     else:
-        limit = MATRIX_DUMP_LIMIT_LARGE if args.allow_large else MATRIX_DUMP_LIMIT
+        limit = MATRIX_DUMP_LIMIT_LARGE if args.allow_large else MAX_DENSE_QUBITS
         mat = baker_matrix(args.qubits, max_qubits=limit)
         text = io.matrix_to_json(mat, args.qubits) + "\n"
     _emit(text, args)
@@ -103,48 +115,57 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_memory(what: str, args: argparse.Namespace,
-                  bytes_needed: Callable[[argparse.Namespace], int]) -> None:
-    """Refuse a request whose estimated size, a function of the parsed
-    arguments, exceeds physical memory, before anything of that size is
-    allocated."""
+def _amplitudes(args: argparse.Namespace) -> int:
+    # 2^64 amplitudes exceed any memory, so the cap changes no decision; it
+    # keeps a huge --qubits from building a huge integer.
+    return 1 << min(args.qubits, 64)
+
+
+def _baker_bytes(args: argparse.Namespace) -> int:
+    if args.form == "circuit":
+        # baker_circuit(L) has L^2 + L - 1 gates.
+        return CIRCUIT_BYTES_PER_GATE * (args.qubits * args.qubits + args.qubits - 1)
+    # The matrix, held while its JSON is built.
+    return (16 + JSON_PAIR_BYTES) * _amplitudes(args) ** 2
+
+
+def _echo_bytes(args: argparse.Namespace) -> int:
+    # The reference and one batch of member columns, then the records and
+    # the CSV text of every member.
+    columns = 1 + echo_batch_size(args.qubits, args.ensemble)
+    rows = (args.steps + 1) * args.ensemble
+    return (ECHO_COLUMN_BYTES * _amplitudes(args) * columns + ECHO_MEMBER_BYTES * args.ensemble
+            + (ECHO_ROW_BYTES + 8 * args.qubits) * rows)
+
+
+# Peak bytes of each command whose memory grows with its arguments, as a
+# function of the parsed arguments. `qft-check` and `weyl-check` are bounded
+# by the dense size guard instead, and `classical` holds nothing that grows.
+_PEAK_BYTES = {
+    # The input and the result state, held while the result's JSON is built.
+    "iterate": lambda args: (2 * 16 + JSON_PAIR_BYTES) * _amplitudes(args),
+    "echo": _echo_bytes,
+    "formfactor": lambda args: FORM_FACTOR_ROW_BYTES * args.nmax,
+    "baker": _baker_bytes,
+}
+
+
+def _check_memory(args: argparse.Namespace) -> None:
+    """Refuse a request whose peak bytes exceed physical memory, before any work."""
+    if args.command not in _PEAK_BYTES:
+        return
     if args.qubits < 1:
         raise DomainError(f"qubit count must be >= 1, got {args.qubits}")
-    need = bytes_needed(args)
+    need = _PEAK_BYTES[args.command](args)
     have = _physical_memory_bytes()
     if need > have:
         raise SizeError(
-            f"{what} for {args.qubits} qubits needs about {need} bytes, "
+            f"{args.command} for {args.qubits} qubits needs about {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
 
 
-def _state_bytes(args: argparse.Namespace) -> int:
-    # Three D-vectors of complex128: the input, the working copy and the
-    # kernel temporaries.
-    return 3 * 16 * (1 << args.qubits)
-
-
-def _circuit_bytes(args: argparse.Namespace) -> int:
-    # baker_circuit(L) has L^2 + L - 1 gates.
-    return CIRCUIT_BYTES_PER_GATE * (args.qubits * args.qubits + args.qubits - 1)
-
-
-def _echo_bytes(args: argparse.Namespace) -> int:
-    # The reference state and one batch of member columns, then the records
-    # and the CSV text of every member.
-    batch = min(args.ensemble, max(1, ECHO_BATCH_AMPLITUDES >> args.qubits))
-    rows = (args.steps + 1) * args.ensemble
-    return (_state_bytes(args) * (1 + batch) + ECHO_MEMBER_BYTES * args.ensemble
-            + (ECHO_ROW_BYTES + 8 * args.qubits) * rows)
-
-
-def _form_factor_bytes(args: argparse.Namespace) -> int:
-    return FORM_FACTOR_ROW_BYTES * args.nmax
-
-
 def cmd_iterate(args: argparse.Namespace) -> int:
-    _check_memory("state", args, _state_bytes)
     if args.state is not None:
         state = io.read_state(args.state)
         if state.qubits != args.qubits:
@@ -163,14 +184,12 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 def cmd_echo(args: argparse.Namespace) -> int:
     cfg = EchoConfig(args.qubits, args.steps, args.delta, args.ensemble, args.seed)
-    _check_memory("echo states, records and CSV", args, _echo_bytes)
     records = loschmidt_echo(cfg)
     _emit(io.echo_records_to_csv(records), args, args.seed)
     return 0
 
 
 def cmd_formfactor(args: argparse.Namespace) -> int:
-    _check_memory("form factor records and CSV", args, _form_factor_bytes)
     values = form_factor(args.qubits, args.nmax)
     _emit(io.form_factor_to_csv(values), args)
     return 0
@@ -211,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help=f"raise the matrix dump limit from {MATRIX_DUMP_LIMIT} to "
+        help=f"raise the matrix dump limit from {MAX_DENSE_QUBITS} to "
         f"{MATRIX_DUMP_LIMIT_LARGE} qubits",
     )
     p.set_defaults(func=cmd_baker)
@@ -263,6 +282,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: QBAKER_THREADS={threads!r} is not a valid count", file=sys.stderr)
             return 1
     try:
+        _check_memory(args)
         return args.func(args)
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
         # ValueError covers DomainError, ParseError and sizes numpy refuses.

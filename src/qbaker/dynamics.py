@@ -198,6 +198,11 @@ def echo_initial_state(cfg: EchoConfig) -> StateVector:
 ECHO_BATCH_AMPLITUDES = 1 << 22
 
 
+def echo_batch_size(qubits: int, ensemble: int) -> int:
+    """Members per batch: as many as fit in ECHO_BATCH_AMPLITUDES, at least one."""
+    return min(ensemble, max(1, ECHO_BATCH_AMPLITUDES >> qubits))
+
+
 def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
     """Fidelity decay under per-step random phase kicks.
 
@@ -214,7 +219,7 @@ def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
     output is also independent of how members are batched; from there on
     the fused execution plan makes columns agree with lone states to 1e-12.
     """
-    size = max(1, ECHO_BATCH_AMPLITUDES >> cfg.qubits)
+    size = echo_batch_size(cfg.qubits, cfg.ensemble)
     records: list[TrajectoryRecord] = []
     for first in range(0, cfg.ensemble, size):
         records += _echo_batch(cfg, range(first, min(first + size, cfg.ensemble)))

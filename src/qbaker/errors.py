@@ -7,7 +7,7 @@ class DomainError(ValueError):
 
 class SizeError(DomainError):
     """Request beyond a size guard: a dense matrix past the qubit-count limit,
-    or a state vector larger than physical memory."""
+    or a CLI request larger than physical memory."""
 
 
 class ParseError(ValueError):

@@ -43,7 +43,7 @@ def write_text_file(text: str, path: str) -> None:
 # State JSON: {"qubits": L, "amplitudes": [[re, im], ...]}, index ascending.
 
 def state_to_json(state: StateVector) -> str:
-    amps = [[z.real, z.imag] for z in state.amplitudes]
+    amps = state.amplitudes.view(np.float64).reshape(-1, 2).tolist()
     return json.dumps({"qubits": state.qubits, "amplitudes": amps})
 
 
@@ -120,7 +120,7 @@ def circuit_to_text(circuit: Circuit) -> str:
 # Matrix JSON: {"qubits": L, "dim": D, "entries": [[[re, im], ...] rows]}.
 
 def matrix_to_json(mat: np.ndarray, qubits: int) -> str:
-    entries = [[[z.real, z.imag] for z in row] for row in mat]
+    entries = mat.view(np.float64).reshape(*mat.shape, 2).tolist()
     return json.dumps({"qubits": qubits, "dim": mat.shape[0], "entries": entries})
 
 

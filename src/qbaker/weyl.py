@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError
-from .gates import MAX_DENSE_QUBITS
 from .qft import dft_matrix
 
 PASS_TOL = 1e-9
@@ -43,13 +41,10 @@ class WeylReport:
 
 def build_operators(qubits: int) -> PhaseSpaceOperators:
     """Construct q, p, U, V for D = 2^qubits dimensions."""
-    if qubits < 1:
-        raise DomainError(f"qubit count must be >= 1, got {qubits}")
-    if qubits > MAX_DENSE_QUBITS:
-        raise SizeError(f"operators refused for {qubits} qubits (limit {MAX_DENSE_QUBITS})")
+    # The dense transform's guards refuse a bad or huge qubit count first.
+    fourier = dft_matrix(qubits)
     dim = 1 << qubits
     levels = np.arange(dim) / dim
-    fourier = dft_matrix(qubits)
     q_op = np.diag(levels).astype(np.complex128)
     p_op = fourier.conj().T @ np.diag(levels) @ fourier
     u_op = np.diag(np.exp(2j * np.pi * levels))

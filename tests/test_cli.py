@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from qbaker import ClassicalPoint, baker_matrix, basis_state, classical_step, iterate
-from qbaker.cli import main
+from qbaker.cli import _PEAK_BYTES, build_parser, main
 from qbaker.io import (
     manifest_path,
     manifest_to_argv,
@@ -278,6 +279,10 @@ def test_sizes_numpy_refuses_are_one_line_errors(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("work started past the size guard")
+
+
 # The memory probe is patched down, so the guard fires at a size that
 # would be cheap to allocate; no real allocation is ever attempted.
 @pytest.mark.parametrize("argv", [
@@ -286,9 +291,12 @@ def test_sizes_numpy_refuses_are_one_line_errors(capsys, argv):
      "--seed", "0"),
     # 512 bytes for each of the 60^2 + 60 - 1 gates is about 1.8 MiB.
     ("baker", "--qubits", "60", "--form", "circuit"),
+    # 336 bytes for each of the 2^24 entries is about 5.3 GiB.
+    ("baker", "--qubits", "12", "--form", "matrix", "--allow-large"),
 ])
 def test_state_size_guard_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("qbaker.cli._physical_memory_bytes", lambda: 1 << 20)
+    monkeypatch.setattr("qbaker.cli.baker_matrix", _never_called)
     out = tmp_path / "out"
     code, stdout, err = run(capsys, *argv, "--out", str(out))
     assert code == 1 and stdout == ""
@@ -296,11 +304,28 @@ def test_state_size_guard_is_one_line_error(tmp_path, capsys, monkeypatch, argv)
     assert not out.exists()
 
 
+# Subcommands outside the CLI's size table, and why they need no entry.
+UNSIZED_COMMANDS = {
+    "qft-check": "bounded by the dense size guard",
+    "weyl-check": "bounded by the dense size guard",
+    "classical": "holds nothing that grows",
+}
+
+
+def test_every_subcommand_has_a_size_decision():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert not set(_PEAK_BYTES) & set(UNSIZED_COMMANDS)
+    assert set(sub.choices) == set(_PEAK_BYTES) | set(UNSIZED_COMMANDS)
+
+
 def test_state_size_guard_admits_what_fits(capsys, monkeypatch):
-    # 3 * 16 * 2^L bytes at L = 14 is 768 KiB, under the patched 1 MiB.
+    # 352 bytes per amplitude (two states and their JSON) is 704 KiB at
+    # L = 11, under the patched 1 MiB, and 1.4 MiB at L = 12.
     monkeypatch.setattr("qbaker.cli._physical_memory_bytes", lambda: 1 << 20)
-    code, stdout, _ = run(capsys, "iterate", "--qubits", "14", "--basis", "0", "--steps", "0")
-    assert code == 0 and json.loads(stdout)["qubits"] == 14
+    code, stdout, _ = run(capsys, "iterate", "--qubits", "11", "--basis", "0", "--steps", "0")
+    assert code == 0 and json.loads(stdout)["qubits"] == 11
+    code, _, err = run(capsys, "iterate", "--qubits", "12", "--basis", "0", "--steps", "0")
+    assert code == 1 and "physical memory" in err
     # 512 bytes for each of the 40^2 + 40 - 1 gates is about 0.8 MiB.
     code, stdout, _ = run(capsys, "baker", "--qubits", "40", "--form", "circuit")
     assert code == 0 and stdout.startswith("qubits 40\n")

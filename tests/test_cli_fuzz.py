@@ -2,9 +2,10 @@
 rejected with exactly one `error:` line (exit 1), or a usage error (exit 2).
 
 Sizes stay where an accepted run is cheap or a guard refuses it before any
-allocation. Huge `echo --ensemble`/`--steps` and `formfactor --nmax` values
-are fuzzed on their own, with the memory probe patched down and the
-commands' work replaced by a failure, so they must be refused from the
+allocation. Every command in the CLI's size table is also fuzzed on its
+own at huge sizes (`iterate` and `baker --qubits`, `echo --ensemble` and
+`--steps`, `formfactor --nmax`), with the memory probe patched down and
+the commands' work replaced by a failure, so they must be refused from the
 parsed arguments alone. (`iterate --steps` and `classical --steps` hold
 nothing per step.) State files for `iterate --state` are fuzzed on their
 own, with any `qubits` value and a short amplitude list.
@@ -107,6 +108,15 @@ def test_iterate_refuses_bad_state_files(qubits, amplitudes):
 HUGE = st.sampled_from([10**7, 10**9, 2**40, 10**18])
 COUNTS = st.one_of(st.integers(1, 5), HUGE)
 HUGE_COMMANDS = {
+    "iterate": st.builds(
+        lambda q, s: ["iterate", *_flags(qubits=q, basis=0, steps=s)],
+        st.one_of(st.integers(22, 70), HUGE), COUNTS,
+    ),
+    "baker": st.builds(
+        lambda q, form, large: ["baker", *_flags(qubits=q, form=form)]
+        + (["--allow-large"] if large else []),
+        HUGE, st.sampled_from(["matrix", "circuit"]), st.booleans(),
+    ),
     "echo": st.one_of(
         st.tuples(st.integers(1, 5), HUGE, COUNTS), st.tuples(st.integers(1, 5), COUNTS, HUGE)
     ).map(lambda a: ["echo", *_flags(qubits=a[0], steps=a[1], delta=0.05, ensemble=a[2], seed=1)]),
@@ -124,12 +134,16 @@ def _never_called(*args, **kwargs):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_huge_outputs_are_refused_before_any_work(command, data):
-    # 10^7 rows of echo or form-factor output need more than the 1 GiB the
+    # 10^7 rows of echo or form-factor output, a 2^22-amplitude state and its
+    # JSON, or a 10^7-qubit network or matrix need more than the 1 GiB the
     # probe reports; nothing is ever allocated for them.
     argv = data.draw(HUGE_COMMANDS[command])
+    work = ("loschmidt_echo", "form_factor", "basis_state", "iterate", "baker_circuit",
+            "baker_matrix")
     with mock.patch("qbaker.cli._physical_memory_bytes", lambda: 1 << 30), \
-            mock.patch("qbaker.cli.loschmidt_echo", _never_called), \
-            mock.patch("qbaker.cli.form_factor", _never_called):
+            contextlib.ExitStack() as stack:
+        for name in work:
+            stack.enter_context(mock.patch(f"qbaker.cli.{name}", _never_called))
         code, stderr = _run(argv)
     assert code == 1
     assert stderr.startswith("error:") and "physical memory" in stderr and stderr.count("\n") == 1

@@ -6,6 +6,7 @@ import pytest
 from qbaker import (
     Circuit,
     ParseError,
+    StateVector,
     a_gate,
     b_gate,
     baker_circuit,
@@ -47,6 +48,11 @@ def test_state_roundtrip_basis(tmp_path):
 def test_state_json_shape():
     obj = json.loads(state_to_json(basis_state(1, 1)))
     assert obj == {"qubits": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}
+
+
+def test_state_json_bytes_keep_signed_zeros_and_subnormals():
+    s = StateVector(1, np.array([complex(-0.0, 5e-324), complex(0.1, -0.0)]))
+    assert state_to_json(s) == '{"qubits": 1, "amplitudes": [[-0.0, 5e-324], [0.1, -0.0]]}'
 
 
 def test_state_wrong_amplitude_count():
@@ -115,6 +121,14 @@ def test_matrix_json_shape():
     assert obj["qubits"] == 1
     assert obj["dim"] == 2
     assert obj["entries"][1][1] == [0.0, 1.0]
+
+
+def test_matrix_json_bytes_keep_signed_zeros_and_subnormals():
+    mat = np.array([[complex(-0.0, 5e-324), 0.1], [-2.5j, complex(1.0, -0.0)]])
+    assert matrix_to_json(mat, 1) == (
+        '{"qubits": 1, "dim": 2, "entries": '
+        '[[[-0.0, 5e-324], [0.1, 0.0]], [[-0.0, -2.5], [1.0, -0.0]]]}'
+    )
 
 
 # --- CSV --------------------------------------------------------------------
