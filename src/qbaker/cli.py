@@ -44,9 +44,10 @@ JSON_PAIR_BYTES = 320
 # ru_maxrss) between L = 200 and 400.
 CIRCUIT_BYTES_PER_GATE = 512
 # Bytes of `echo` per amplitude of each column a batch holds (the reference
-# and the batch's members): the columns, their transposed copy for the
-# records, and the copies the execution plan and the momentum transform
-# make. Measured as 61-72 at L = 14-18 (67-74 by ru_maxrss, L = 17 and 18).
+# and the batch's members, in one array): the columns, their transposed copy
+# for the records, and the copies the execution plan and the momentum
+# transform make. Measured as 48-61 at L = 14-18 and 1-8 members, 61-64 per
+# added column (68-78 and 71-72 by ru_maxrss, L = 17 and 18).
 ECHO_COLUMN_BYTES = 96
 # Bytes of `echo` per member, and per (step, member) row on top of that:
 # the record's five float64 fields and the CSV line (64 characters on
@@ -55,6 +56,14 @@ ECHO_COLUMN_BYTES = 96
 # each row also holds the member's kick angles, 8 bytes per qubit.
 ECHO_MEMBER_BYTES = 1024
 ECHO_ROW_BYTES = 384
+# Bytes of `iterate --state` per byte of the state file, while it is read
+# and parsed: the text, the parsed lists and numbers, and the state built
+# from them. Measured as 4.28-4.32 for files qbaker writes (L = 14-18) and
+# 18.1 for the densest entries with a float ([0,1e0]); the densest of all,
+# [0,0], whose ints are shared, measured 19.8 (22.2 by ru_maxrss, L = 18 and
+# 20), and 22.8 when one non-ASCII character widens the text to 4 bytes per
+# character.
+STATE_FILE_PARSE_BYTES = 32
 # Bytes of `formfactor` per n: the trace, |trace|^2 / D and the CSV line in
 # the line list and the joined text. Measured as 140 at n = 2-4 x 10^4. The
 # dense matrices stay behind the dense size guard (about 68 bytes per entry,
@@ -129,6 +138,13 @@ def _baker_bytes(args: argparse.Namespace) -> int:
     return (16 + JSON_PAIR_BYTES) * _amplitudes(args) ** 2
 
 
+def _iterate_bytes(args: argparse.Namespace) -> int:
+    # The input and the result state, held while the result's JSON is built,
+    # or the parse of a state file, freed before that.
+    parse = 0 if args.state is None else STATE_FILE_PARSE_BYTES * os.path.getsize(args.state)
+    return max((2 * 16 + JSON_PAIR_BYTES) * _amplitudes(args), parse)
+
+
 def _echo_bytes(args: argparse.Namespace) -> int:
     # The reference and one batch of member columns, then the records and
     # the CSV text of every member.
@@ -142,8 +158,7 @@ def _echo_bytes(args: argparse.Namespace) -> int:
 # function of the parsed arguments. `qft-check` and `weyl-check` are bounded
 # by the dense size guard instead, and `classical` holds nothing that grows.
 _PEAK_BYTES = {
-    # The input and the result state, held while the result's JSON is built.
-    "iterate": lambda args: (2 * 16 + JSON_PAIR_BYTES) * _amplitudes(args),
+    "iterate": _iterate_bytes,
     "echo": _echo_bytes,
     "formfactor": lambda args: FORM_FACTOR_ROW_BYTES * args.nmax,
     "baker": _baker_bytes,

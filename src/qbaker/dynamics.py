@@ -194,7 +194,8 @@ def echo_initial_state(cfg: EchoConfig) -> StateVector:
 
 
 # Members evolve together in batches of at most this many amplitudes (64 MiB
-# of complex128); each batch after the first recomputes the reference.
+# of complex128); the batch array holds one more column, the reference,
+# which each batch evolves again.
 ECHO_BATCH_AMPLITUDES = 1 << 22
 
 
@@ -212,12 +213,12 @@ def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
     compared with the unperturbed trajectory. Records fidelity between the
     two plus position and momentum entropies of the perturbed state.
 
-    The unperturbed trajectory is evolved once, as a (D,) state, and the
-    members together as the columns of one (D, M) array. The output is
-    bitwise reproducible from the config. Below `gates.FUSE_MIN_QUBITS`
-    every column gets the bits it would get evolved on its own, so the
-    output is also independent of how members are batched; from there on
-    the fused execution plan makes columns agree with lone states to 1e-12.
+    Each batch of M members is one (D, 1 + M) array: column 0 is the
+    unperturbed trajectory, kicked by zero angles, and columns 1..M the
+    members. The output is bitwise reproducible from the config. Below
+    `gates.FUSE_MIN_QUBITS` every column gets the bits it would get evolved
+    on its own, so the output is also independent of batching; from there on
+    the fused execution plan makes every column agree with it to 1e-12.
     """
     size = echo_batch_size(cfg.qubits, cfg.ensemble)
     records: list[TrajectoryRecord] = []
@@ -229,39 +230,35 @@ def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
 def _echo_batch(cfg: EchoConfig, members: range) -> list[TrajectoryRecord]:
     qubits, count, n = cfg.qubits, len(members), cfg.steps + 1
     circuit = baker_circuit(qubits)
-    ref = echo_initial_state(cfg).amplitudes.copy()
-    pert = np.repeat(ref[:, None], count, axis=1)
-    # kicks[step - 1, k] holds qubit k's angle for every member at that step.
-    kicks = np.empty((cfg.steps, qubits, count))
-    for i, member in enumerate(members):
+    # Column 0 is the unperturbed reference, columns 1.. are the members.
+    cols = np.repeat(echo_initial_state(cfg).amplitudes[:, None], 1 + count, axis=1)
+    # kicks[step - 1, k] holds qubit k's angle for every column at that step;
+    # the reference's angles stay zero, a phase of exactly 1.
+    kicks = np.zeros((cfg.steps, qubits, 1 + count))
+    for i, member in enumerate(members, 1):
         kicks[:, :, i] = _philox(cfg.seed, (1, member)).uniform(
             -cfg.delta, cfg.delta, (cfg.steps, qubits))
-    fid = np.empty((count, n))
-    pos_ent = np.empty((count, n))
-    mom_ent = np.empty((count, n))
-    ref_norm = np.empty(n)
-    pert_norm = np.empty((count, n))
+    fid, pos_ent, mom_ent = np.empty((3, count, n))
+    norms = np.empty((1 + count, n))
 
     def record(t: int) -> None:
-        # Fidelities and norms reduce each member's contiguous row, as a
-        # (D,) state does.
-        rows = np.ascontiguousarray(pert.T)
-        ref_sq = np.vdot(ref, ref).real
-        ref_norm[t] = np.linalg.norm(ref)
-        for i, row in enumerate(rows):
-            z = np.vdot(ref, row)
-            fid[i, t] = (z.real * z.real + z.imag * z.imag) / (ref_sq * np.vdot(row, row).real)
-            pert_norm[i, t] = np.linalg.norm(row)
-        pos_ent[:, t] = distribution_entropy(position_distribution(pert).T)
-        mom_ent[:, t] = distribution_entropy(momentum_distribution(pert).T)
+        # Fidelities and norms reduce each column's contiguous row, as a
+        # (D,) state does; one squared norm per row serves both.
+        rows = np.ascontiguousarray(cols.T)
+        sq = np.array([np.vdot(row, row).real for row in rows])
+        norms[:, t] = np.sqrt(sq)
+        for i in range(1, 1 + count):
+            z = np.vdot(rows[0], rows[i])
+            fid[i - 1, t] = (z.real * z.real + z.imag * z.imag) / (sq[0] * sq[i])
+        pos_ent[:, t] = distribution_entropy(position_distribution(cols[:, 1:]).T)
+        mom_ent[:, t] = distribution_entropy(momentum_distribution(cols[:, 1:]).T)
 
     record(0)
     for step in range(1, n):
-        ref = _apply_circuit_array(ref, circuit)
-        pert = _apply_circuit_array(pert, circuit)
-        _kick(pert, qubits, kicks[step - 1])
+        cols = _apply_circuit_array(cols, circuit)
+        _kick(cols, qubits, kicks[step - 1])
         record(step)
     return [
-        TrajectoryRecord(fid[i], pos_ent[i], mom_ent[i], ref_norm.copy(), pert_norm[i])
+        TrajectoryRecord(fid[i], pos_ent[i], mom_ent[i], norms[0].copy(), norms[1 + i])
         for i in range(count)
     ]

@@ -1,12 +1,30 @@
 """Verification oracles that only the tests use.
 
+`echo_member_replay` evolves one echo member and the unperturbed reference
+as lone states, one public step at a time, so the batched echo is checked
+against a path that shares none of its batching.
+
 The forward Fourier network carries negative conditional-phase angles.
 `resolve_phase_sign` re-derives that sign from scratch against the dense
 transform, so the convention is pinned by a check rather than assumed.
 """
 import numpy as np
 
-from qbaker import Circuit, GateKind, circuit_to_matrix, dft_matrix, qft_circuit
+from qbaker import (
+    Circuit,
+    EchoConfig,
+    GateKind,
+    TrajectoryRecord,
+    circuit_to_matrix,
+    dft_matrix,
+    distribution_entropy,
+    iterate,
+    momentum_distribution,
+    phase_kick,
+    position_distribution,
+    qft_circuit,
+    random_state,
+)
 
 #: Sign of the conditional-phase angles that makes the gate network equal
 #: the dense position-to-momentum matrix. Resolved empirically; see
@@ -60,3 +78,37 @@ def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
 def cyclic_shift_matrix(dim: int) -> np.ndarray:
     """Permutation sending position j to position j+1 mod dim."""
     return np.roll(np.eye(dim), 1, axis=0)
+
+
+def _philox(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def echo_member_replay(cfg: EchoConfig, member: int) -> TrajectoryRecord:
+    """The echo record of one member, from (D,) states alone.
+
+    The initial state comes from spawn key (0,) and the member's kicks, drawn
+    as a (steps, qubits) block, from spawn key (1, member). After each map
+    step the member gets `phase_kick` and the reference gets nothing. Each
+    state's squared norm is vdot(psi, psi).real; the fidelity divides
+    |vdot(ref, pert)|^2 by both, and the norms are their square roots.
+    """
+    ref = pert = random_state(cfg.qubits, _philox(cfg.seed, (0,)))
+    kicks = _philox(cfg.seed, (1, member)).uniform(-cfg.delta, cfg.delta, (cfg.steps, cfg.qubits))
+    rows = []
+    for step in range(cfg.steps + 1):
+        if step:
+            ref = iterate(ref, 1)
+            pert = phase_kick(iterate(pert, 1), kicks[step - 1])
+        ref_sq = np.vdot(ref.amplitudes, ref.amplitudes).real
+        pert_sq = np.vdot(pert.amplitudes, pert.amplitudes).real
+        z = np.vdot(ref.amplitudes, pert.amplitudes)
+        rows.append((
+            (z.real * z.real + z.imag * z.imag) / (ref_sq * pert_sq),
+            distribution_entropy(position_distribution(pert)),
+            distribution_entropy(momentum_distribution(pert)),
+            np.sqrt(ref_sq),
+            np.sqrt(pert_sq),
+        ))
+    return TrajectoryRecord(*(np.array(column) for column in zip(*rows)))

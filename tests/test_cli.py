@@ -226,6 +226,15 @@ def test_iterate_qubit_mismatch(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_iterate_missing_state_file_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, stdout, err = run(
+        capsys, "iterate", "--qubits", "2", "--state", str(missing), "--steps", "1"
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and str(missing) in err and err.count("\n") == 1
+
+
 def test_iterate_rejects_unnormalized_state_file(tmp_path, capsys):
     src = tmp_path / "zero.json"
     dst = tmp_path / "out.json"

@@ -4,7 +4,8 @@ rejected with exactly one `error:` line (exit 1), or a usage error (exit 2).
 Sizes stay where an accepted run is cheap or a guard refuses it before any
 allocation. Every command in the CLI's size table is also fuzzed on its
 own at huge sizes (`iterate` and `baker --qubits`, `echo --ensemble` and
-`--steps`, `formfactor --nmax`), with the memory probe patched down and
+`--steps`, `formfactor --nmax`, and an `iterate --state` file far larger
+than `--qubits` asks for), with the memory probe patched down and
 the commands' work replaced by a failure, so they must be refused from the
 parsed arguments alone. (`iterate --steps` and `classical --steps` hold
 nothing per step.) State files for `iterate --state` are fuzzed on their
@@ -107,10 +108,15 @@ def test_iterate_refuses_bad_state_files(qubits, amplitudes):
 
 HUGE = st.sampled_from([10**7, 10**9, 2**40, 10**18])
 COUNTS = st.one_of(st.integers(1, 5), HUGE)
+# Stands for the path of the `huge_state_file` fixture in drawn arguments.
+STATE_FILE = "{state_file}"
 HUGE_COMMANDS = {
     "iterate": st.builds(
         lambda q, s: ["iterate", *_flags(qubits=q, basis=0, steps=s)],
         st.one_of(st.integers(22, 70), HUGE), COUNTS,
+    ),
+    "iterate-state": st.builds(
+        lambda s: ["iterate", *_flags(qubits=2, state=STATE_FILE, steps=s)], COUNTS
     ),
     "baker": st.builds(
         lambda q, form, large: ["baker", *_flags(qubits=q, form=form)]
@@ -130,16 +136,26 @@ def _never_called(*args, **kwargs):
     raise AssertionError("work started past the size guard")
 
 
+@pytest.fixture(scope="module")
+def huge_state_file(tmp_path_factory):
+    # A sparse file: 1 GiB long, with no data written.
+    path = tmp_path_factory.mktemp("huge") / "state.json"
+    with open(path, "wb") as fh:
+        fh.truncate(1 << 30)
+    return str(path)
+
+
 @pytest.mark.parametrize("command", sorted(HUGE_COMMANDS))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_huge_outputs_are_refused_before_any_work(command, data):
+def test_huge_outputs_are_refused_before_any_work(command, data, huge_state_file):
     # 10^7 rows of echo or form-factor output, a 2^22-amplitude state and its
-    # JSON, or a 10^7-qubit network or matrix need more than the 1 GiB the
-    # probe reports; nothing is ever allocated for them.
-    argv = data.draw(HUGE_COMMANDS[command])
+    # JSON, a 1 GiB state file to parse, or a 10^7-qubit network or matrix
+    # need more than the 1 GiB the probe reports; nothing is ever allocated
+    # for them, and the state file is never read.
+    argv = [arg.format(state_file=huge_state_file) for arg in data.draw(HUGE_COMMANDS[command])]
     work = ("loschmidt_echo", "form_factor", "basis_state", "iterate", "baker_circuit",
-            "baker_matrix")
+            "baker_matrix", "io.read_state")
     with mock.patch("qbaker.cli._physical_memory_bytes", lambda: 1 << 30), \
             contextlib.ExitStack() as stack:
         for name in work:

@@ -1,12 +1,17 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbaker import (
     DomainError,
     EchoConfig,
     SizeError,
+    TrajectoryRecord,
+    baker_circuit,
     baker_matrix,
     basis_state,
     dft_matrix,
@@ -20,7 +25,10 @@ from qbaker import (
     position_distribution,
     random_state,
 )
+from qbaker import dynamics
 from qbaker.io import echo_records_to_csv
+
+from oracles import echo_member_replay
 
 
 # --- iteration -------------------------------------------------------------
@@ -352,6 +360,24 @@ def test_echo_mean_fidelity_decreases_with_delta():
         assert means[hi] <= means[lo] + slack
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    qubits=st.integers(1, 6),
+    ensemble=st.integers(1, 4),
+    steps=st.integers(0, 4),
+    delta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_echo_matches_members_replayed_alone(qubits, ensemble, steps, delta, seed):
+    cfg = EchoConfig(qubits, steps, delta, ensemble, seed)
+    for member, rec in enumerate(loschmidt_echo(cfg)):
+        want = echo_member_replay(cfg, member)
+        for field in dataclasses.fields(TrajectoryRecord):
+            got, expected = getattr(rec, field.name), getattr(want, field.name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape == (steps + 1,)
+            assert got.tobytes() == expected.tobytes(), field.name
+
+
 # sha256 of the echo CSV, pinned from the per-member implementation. Covers
 # L=1 and L=2 (single-amplitude kernel runs), the benchmark's ensemble shape,
 # zero kicks, zero steps and L=8.
@@ -366,12 +392,40 @@ GOLDEN_ECHO_CSV = [
 ]
 
 
-def test_echo_bytes_independent_of_batching(monkeypatch):
-    # Two members per batch: every batch re-evolves the reference.
+@pytest.mark.parametrize("members", [1, 2])
+def test_echo_bytes_independent_of_batching(monkeypatch, members):
+    # Few members per batch: every batch re-evolves the reference in its
+    # column 0, beside one or two member columns.
     params, digest = GOLDEN_ECHO_CSV[3]
-    monkeypatch.setattr("qbaker.dynamics.ECHO_BATCH_AMPLITUDES", 2 << params[0])
+    monkeypatch.setattr("qbaker.dynamics.ECHO_BATCH_AMPLITUDES", members << params[0])
     csv = echo_records_to_csv(loschmidt_echo(EchoConfig(*params)))
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def test_echo_applies_the_map_once_per_step_per_batch(monkeypatch):
+    # Three batches of two members and one of one; the reference rides in
+    # each batch's array, so no (D,) array is ever mapped or kicked.
+    cfg = EchoConfig(qubits=4, steps=5, delta=0.1, ensemble=7, seed=3)
+    monkeypatch.setattr("qbaker.dynamics.ECHO_BATCH_AMPLITUDES", 2 << cfg.qubits)
+    baker, shapes = baker_circuit(cfg.qubits), []
+    apply_circuit, kick = dynamics._apply_circuit_array, dynamics._kick
+
+    def counting_apply(arr, circuit):
+        shapes.append(("map" if circuit == baker else "other", arr.shape))
+        return apply_circuit(arr, circuit)
+
+    def counting_kick(arr, qubits, angles):
+        shapes.append(("kick", arr.shape))
+        kick(arr, qubits, angles)
+
+    monkeypatch.setattr(dynamics, "_apply_circuit_array", counting_apply)
+    monkeypatch.setattr(dynamics, "_kick", counting_kick)
+    loschmidt_echo(cfg)
+    batches = [(1 << cfg.qubits, 3)] * 3 + [(1 << cfg.qubits, 2)]
+    for kind in ("map", "kick"):
+        got = [shape for k, shape in shapes if k == kind]
+        assert got == [shape for shape in batches for _ in range(cfg.steps)]
+    assert all(len(shape) == 2 for _, shape in shapes)
 
 
 @pytest.mark.parametrize(
