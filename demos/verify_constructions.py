@@ -4,8 +4,8 @@ The gate network is checked three independent ways: against the dense
 Fourier matrix, against the block-matrix definition of the quantized
 baker map, and against the displacement-operator algebra of the
 discretized unit square. A hand-written 11-gate sequence for three qubits
-is compared to both. Past the dense guard, one map step through the fused
-execution plan is compared to the FFT form of the map.
+is compared to both. Past the dense guard, one map step through the
+dense-block execution plan is compared to the FFT form of the map.
 """
 import numpy as np
 
@@ -58,7 +58,7 @@ def main():
         print(f"{qubits:>3} {report.commutation_residual:>13.3e} "
               f"{report.periodicity_residual:>13.3e}")
 
-    print("\nFused execution plan vs FFT form T = F_L^-1 diag(F_L-1, F_L-1)")
+    print("\nDense-block execution plan vs FFT form T = F_L^-1 diag(F_L-1, F_L-1)")
     qubits = FUSE_MIN_QUBITS
     psi = random_state(qubits, qubits)
     half = np.fft.fft(psi.amplitudes.reshape(2, -1), axis=1, norm="ortho")

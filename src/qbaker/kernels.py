@@ -1,17 +1,19 @@
 """In-place bitmask kernels over the leading axis of a complex array.
 
 Each kernel touches every amplitude a constant number of times (O(D) per
-gate) and never forms a dense matrix. Arrays may be shape (D,) for a state
+gate) and never forms a D x D matrix. Arrays may be shape (D,) for a state
 or (D, M) for M columns sharing the transformation (only `phase_on_one`
 also takes one angle per column); the leading axis is the basis index and
 C-order layout lets every kernel reshape it into (high bits, target bit,
 rest) blocks. Each column of a (D, M) array gets the bits it would get as
 a (D,) state on its own. (The execution plan in `gates` keeps that
-guarantee only below `gates.FUSE_MIN_QUBITS`: from there on it replaces
-runs of `cond_phase` and `phase_on_one` calls by its own phase-table
-multiplies, which agree with these kernels to 1e-12.)
+guarantee only below `gates.FUSE_MIN_QUBITS`. From there on it applies
+`diagonal` phase tables and `dense_block` products on windows of 4
+labels in place of the per-gate kernels; they agree with the gates to
+1e-12.)
 
-The kernels are serial. Threads come from the execution plan in `gates`,
+The kernels are serial, apart from the BLAS threads of the matrix
+products in `dense_block`. Threads come from the execution plan in `gates`,
 which calls the kernels on chunks of consecutive rows and hands ranges of
 chunks to a shared thread pool (`run_chunks`). Every element is written
 exactly once, by the same formula from the same inputs, so results are
@@ -157,6 +159,49 @@ def phase_on_one(arr: np.ndarray, qubits: int, m: int, angle: float | np.ndarray
         phase = np.array([complex(math.cos(a), math.sin(a)) for a in angle])
         view = arr.reshape(hi, 2, 1 << m, cols)
     _multiply(view[:, 1], phase, cols)
+
+
+def diagonal(arr: np.ndarray, qubits: int, m: int, table: np.ndarray) -> None:
+    """Multiply by the diagonal `table` over bits [m, m + w), len(table) = 2^w:
+    the amplitudes whose index has those bits equal to r get table[r]."""
+    w = len(table).bit_length() - 1
+    _check_label(qubits, m + w - 1)
+    view = arr.reshape(-1, len(table), arr.size >> (qubits - m))
+    view *= table[:, None]
+
+
+def dense_block(arr: np.ndarray, qubits: int, m: int, unitary: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """Apply the 2^w x 2^w matrix `unitary` to bits [m, m + w) of the index,
+    with bit m + j as bit j of the matrix index.
+
+    The array is taken as (high bits, 2^w, low bits) and multiplied in slabs
+    of at most len(scratch) >= 2^w amplitudes, each written to the complex
+    `scratch` buffer and copied back, so no temporary grows with the array.
+    For m = 0 on a one-column array each slab is one contiguous
+    (rows, 2^w) @ unitary.T.
+    """
+    dim = len(unitary)
+    _check_label(qubits, m + dim.bit_length() - 2)   # the top bit, m + w - 1
+    lo = arr.size >> (qubits - m)
+    if lo == 1:
+        rows = arr.reshape(-1, dim)
+        step = len(scratch) // dim
+        for r in range(0, len(rows), step):
+            x = rows[r:r + step]
+            out = scratch[:x.size].reshape(x.shape)
+            np.matmul(x, unitary.T, out=out)
+            x[...] = out
+        return
+    view = arr.reshape(-1, dim, lo)
+    hs = max(1, len(scratch) // (dim * lo))
+    ls = min(lo, len(scratch) // dim)
+    for h in range(0, len(view), hs):
+        for l in range(0, lo, ls):
+            x = view[h:h + hs, :, l:l + ls]
+            out = scratch[:x.size].reshape(x.shape)
+            np.matmul(unitary, x, out=out)
+            x[...] = out
 
 
 def _multiply(target: np.ndarray, phase: complex | np.ndarray, cols: int) -> None:

@@ -1,5 +1,9 @@
 """Verification oracles that only the tests use.
 
+`baker_column` is a column of the quantized map in closed form, so plans
+past the dense guard are checked against arithmetic that shares nothing
+with the gate network, its blocks or an FFT.
+
 `echo_member_replay` evolves one echo member and the unperturbed reference
 as lone states, one public step at a time, so the batched echo is checked
 against a path that shares none of its batching.
@@ -78,6 +82,30 @@ def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
 def cyclic_shift_matrix(dim: int) -> np.ndarray:
     """Permutation sending position j to position j+1 mod dim."""
     return np.roll(np.eye(dim), 1, axis=0)
+
+
+def baker_column(qubits: int, j: int, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of column j of T = F_L^-1 diag(F_{L-1}, F_{L-1}).
+
+    With D = 2^L, j' = j mod D/2 and e = (k - 2j') mod D reduced into
+    (-D/2, D/2], the geometric sum over the half-size transform gives
+    T[k, j] = (sqrt(2) / D) s c: s = 1 in the lower block (j < D/2) and
+    (-1)^k in the upper one; c = D/2 for e = 0, 0 for other even k, and
+    1 + i cot(pi e / D) for odd k. Reducing e first keeps the cotangent's
+    argument small near e = D.
+    """
+    dim = 1 << qubits
+    half = dim >> 1
+    k = np.arange(dim)[rows]
+    e = (k - 2 * (j % half)) % dim
+    e = np.where(e > half, e - dim, e)
+    odd = k % 2 == 1
+    c = np.zeros(len(k), dtype=np.complex128)
+    c[odd] = 1 + 1j / np.tan(np.pi * e[odd] / dim)
+    c[e == 0] = half
+    if j >= half:
+        c[odd] = -c[odd]
+    return (np.sqrt(2.0) / dim) * c
 
 
 def _philox(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:

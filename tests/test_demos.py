@@ -19,16 +19,16 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
 
 def test_verify_constructions_runs_the_fused_plan(monkeypatch, capsys):
     # The demo's last section takes one map step at FUSE_MIN_QUBITS through
-    # the fused plan and prints its deviation from the FFT form.
-    from qbaker import gates
+    # the block plan and prints its deviation from the FFT form.
+    from qbaker import gates, kernels
 
     calls = []
 
-    def counted(*args, _fn=gates._apply_phase_tables):
+    def counted(*args, _fn=kernels.dense_block):
         calls.append(1)
         return _fn(*args)
 
-    monkeypatch.setattr(gates, "_apply_phase_tables", counted)
+    monkeypatch.setattr(kernels, "dense_block", counted)
     monkeypatch.setattr(sys, "argv", ["verify_constructions.py"])
     runpy.run_path(str(DEMO_DIR / "verify_constructions.py"), run_name="__main__")
     last = capsys.readouterr().out.strip().splitlines()[-1]

@@ -402,6 +402,26 @@ def test_echo_bytes_independent_of_batching(monkeypatch, members):
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
+def test_echo_at_17_qubits_agrees_across_batch_widths(monkeypatch):
+    # From FUSE_MIN_QUBITS on, the chunk height, and with it how the block
+    # plan splits its phases, follows the batch's column count, so the bits
+    # may differ between batch widths; every record field still agrees to
+    # 1e-12 between a batch of all three members, batches of one, and each
+    # member replayed alone as a (D,) state.
+    cfg = EchoConfig(17, 2, 0.05, 3, 5)
+    wide = loschmidt_echo(cfg)
+    monkeypatch.setattr("qbaker.dynamics.ECHO_BATCH_AMPLITUDES", 1 << cfg.qubits)
+    assert dynamics.echo_batch_size(cfg.qubits, cfg.ensemble) == 1
+    narrow = loschmidt_echo(cfg)
+    for member, (a, b) in enumerate(zip(wide, narrow, strict=True)):
+        alone = echo_member_replay(cfg, member)
+        for field in dataclasses.fields(TrajectoryRecord):
+            got = getattr(a, field.name)
+            for other in (getattr(b, field.name), getattr(alone, field.name)):
+                assert got.shape == other.shape == (cfg.steps + 1,)
+                assert np.abs(got - other).max() <= 1e-12, (member, field.name)
+
+
 def test_echo_applies_the_map_once_per_step_per_batch(monkeypatch):
     # Three batches of two members and one of one; the reference rides in
     # each batch's array, so no (D,) array is ever mapped or kicked.

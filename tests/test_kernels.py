@@ -8,6 +8,8 @@ from qbaker import DomainError, apply_circuit, kernels, random_state, set_num_th
 from qbaker.baker import baker_circuit
 from qbaker.kernels import (
     cond_phase,
+    dense_block,
+    diagonal,
     get_num_threads,
     hadamard,
     permute_bits,
@@ -114,6 +116,39 @@ def test_batched_kernels_match_column_by_column_bitwise(qubits, cols):
                 col_args = args[:-1] + (float(args[-1][c]),) if kernel is phase_on_one else args
                 kernel(col, qubits, *col_args)
                 assert np.array_equal(got[:, c], col), (kernel.__name__, args, c)
+
+
+def _on_bits(mat: np.ndarray, qubits: int, m: int) -> np.ndarray:
+    """The D x D matrix acting as `mat` on bits [m, m + w) of the index."""
+    w = len(mat).bit_length() - 1
+    return np.kron(np.kron(np.eye(1 << (qubits - m - w)), mat), np.eye(1 << m))
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("scratch", [16, 48, 1 << 12])
+def test_dense_block_matches_kron(cols, scratch):
+    # Every window position of 1 to 4 bits in 8 qubits, through scratch
+    # buffers from one 16-amplitude slab to the whole array.
+    rng = np.random.default_rng(cols * scratch)
+    for w in range(1, 5):
+        mat = rng.standard_normal((1 << w, 1 << w)) + 1j * rng.standard_normal((1 << w, 1 << w))
+        for m in range(0, 9 - w):
+            arr = rng.standard_normal((256, cols)) + 1j * rng.standard_normal((256, cols))
+            expect = _on_bits(mat, 8, m) @ arr
+            dense_block(arr.reshape(-1) if cols == 1 else arr, 8, m, mat,
+                        np.empty(scratch, dtype=complex))
+            assert np.abs(arr - expect).max() <= 1e-13, (w, m)
+
+
+def test_diagonal_multiplies_by_table_over_bits():
+    rng = np.random.default_rng(1)
+    table = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+    arr = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    expect = arr * table[(np.arange(64) >> 2) & 7][:, None]
+    diagonal(arr, 6, 2, table)
+    assert np.array_equal(arr, expect)
+    with pytest.raises(DomainError):
+        diagonal(arr, 6, 4, table)
 
 
 def test_phase_on_one_needs_one_angle_per_column():
