@@ -29,7 +29,7 @@ def main():
         print(f"{delta:>8.3f} " + " ".join(f"{mean[n]:.3f}" for n in (1, 5, 10, 20)))
         last_records = records
 
-    write_text_file(echo_records_to_csv(last_records), "echo_decay.csv")
+    write_text_file((echo_records_to_csv(last_records),), "echo_decay.csv")
     print(f"\nwrote echo_decay.csv (delta={DELTAS[-1]}, "
           f"{ENSEMBLE} members x {STEPS + 1} steps)")
 

@@ -30,7 +30,7 @@ def main():
         print(f"L={qubits}: late-time mean {tail.mean():.3f} "
               f"(random-matrix plateau is 1)")
 
-    write_text_file(form_factor_to_csv(values[6]), "form_factor.csv")
+    write_text_file((form_factor_to_csv(values[6]),), "form_factor.csv")
     print("\nwrote form_factor.csv (L=6)")
 
 

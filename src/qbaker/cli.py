@@ -14,9 +14,11 @@ state).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from . import __version__, io, kernels
 from .baker import ClassicalPoint, baker_circuit, baker_matrix, classical_step
@@ -32,13 +34,16 @@ MATRIX_DUMP_LIMIT_LARGE = 12
 # The size model. Each constant is a peak measured on 64-bit CPython 3.11
 # with numpy 2.4, as the slope between two or more sizes of the tracemalloc
 # peak of an in-process run (and of ru_maxrss where given), rounded up.
-# Bytes per [re, im] pair of state or matrix JSON: the pair's list and
-# floats, the text chunks json.dumps joins, and the joined text. Measured
-# as 225-226 (state, L = 16 and 18; matrix, L = 8-10); whole `iterate`
-# runs, two states included, peak at 259 per amplitude (266-270 by
-# ru_maxrss, L = 18 and 20) and `baker --form matrix` runs, the matrix
-# included, at 242 per entry (270 by ru_maxrss, L = 9 and 10).
-JSON_PAIR_BYTES = 320
+# Bytes of `iterate` per amplitude: the input and result states and the
+# copies the execution plan makes. The JSON is streamed in slices of
+# io.JSON_SLICE_PAIRS pairs, about 1 MB whatever the size, so it adds
+# nothing per amplitude. Measured as 41 at L = 16-18 and 48 at L = 18-20
+# (32 by ru_maxrss, L = 18 and 20), to a file and to stdout alike.
+ITERATE_AMPLITUDE_BYTES = 64
+# Bytes of `baker --form matrix` per entry: building the dense matrix, then
+# the matrix while its JSON is streamed. Measured as 68 (68 by ru_maxrss)
+# at L = 9-11, to a file and to stdout alike.
+MATRIX_ENTRY_BYTES = 96
 # Bytes per gate of `baker --form circuit`: the gates, the cached Fourier
 # networks they are built from, and the text. Measured as 304 (339 by
 # ru_maxrss) between L = 200 and 400.
@@ -58,11 +63,11 @@ ECHO_MEMBER_BYTES = 1024
 ECHO_ROW_BYTES = 384
 # Bytes of `iterate --state` per byte of the state file, while it is read
 # and parsed: the text, the parsed lists and numbers, and the state built
-# from them. Measured as 4.28-4.32 for files qbaker writes (L = 14-18) and
-# 18.1 for the densest entries with a float ([0,1e0]); the densest of all,
-# [0,0], whose ints are shared, measured 19.8 (22.2 by ru_maxrss, L = 18 and
-# 20), and 22.8 when one non-ASCII character widens the text to 4 bytes per
-# character.
+# from them. Measured with the array reader, at L = 18 and 20, as 4.3 (4.8
+# by ru_maxrss) for files qbaker writes, 18.2 (20.3) for the densest entries
+# with a float ([0,1e0]), 20.0 (22.2) for the densest of all, [0,0], whose
+# ints are shared, and 23.0 (25.2) when one non-ASCII character widens the
+# text to 4 bytes per character.
 STATE_FILE_PARSE_BYTES = 32
 # Bytes of `formfactor` per n: the trace, |trace|^2 / D and the CSV line in
 # the line list and the joined text. Measured as 140 at n = 2-4 x 10^4. The
@@ -71,14 +76,18 @@ STATE_FILE_PARSE_BYTES = 32
 FORM_FACTOR_ROW_BYTES = 256
 
 
-def _emit(text: str, args: argparse.Namespace, seed: int | None = None) -> None:
-    """Print the text, or write it to --out with a manifest of the parsed arguments."""
-    if args.out is None:
-        sys.stdout.write(text)
-        return
-    io.write_text_file(text, args.out)
+def _write_manifest(args: argparse.Namespace, seed: int | None = None) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     io.write_manifest(io.RunManifest(args.command, params, __version__, seed), args.out)
+
+
+def _emit(chunks: Iterable[str], args: argparse.Namespace, seed: int | None = None) -> None:
+    """Print the text chunks, or write them to --out with a manifest of the parsed arguments."""
+    if args.out is None:
+        sys.stdout.writelines(chunks)
+        return
+    io.write_text_file(chunks, args.out)
+    _write_manifest(args, seed)
 
 
 def cmd_qft_check(args: argparse.Namespace) -> int:
@@ -90,7 +99,7 @@ def cmd_qft_check(args: argparse.Namespace) -> int:
         "tolerance": QFT_CHECK_TOL,
         "pass": ok,
     }
-    _emit(json.dumps(report) + "\n", args)
+    _emit((json.dumps(report), "\n"), args)
     return 0 if ok else 1
 
 
@@ -105,18 +114,17 @@ def cmd_weyl_check(args: argparse.Namespace) -> int:
         "tolerance": PASS_TOL,
         "pass": report.passed,
     }
-    _emit(json.dumps(payload) + "\n", args)
+    _emit((json.dumps(payload), "\n"), args)
     return 0 if report.passed else 1
 
 
 def cmd_baker(args: argparse.Namespace) -> int:
     if args.form == "circuit":
-        text = io.circuit_to_text(baker_circuit(args.qubits))
-    else:
-        limit = MATRIX_DUMP_LIMIT_LARGE if args.allow_large else MAX_DENSE_QUBITS
-        mat = baker_matrix(args.qubits, max_qubits=limit)
-        text = io.matrix_to_json(mat, args.qubits) + "\n"
-    _emit(text, args)
+        _emit((io.circuit_to_text(baker_circuit(args.qubits)),), args)
+        return 0
+    limit = MATRIX_DUMP_LIMIT_LARGE if args.allow_large else MAX_DENSE_QUBITS
+    mat = baker_matrix(args.qubits, max_qubits=limit)
+    _emit(itertools.chain(io.matrix_json_chunks(mat, args.qubits), ("\n",)), args)
     return 0
 
 
@@ -134,15 +142,13 @@ def _baker_bytes(args: argparse.Namespace) -> int:
     if args.form == "circuit":
         # baker_circuit(L) has L^2 + L - 1 gates.
         return CIRCUIT_BYTES_PER_GATE * (args.qubits * args.qubits + args.qubits - 1)
-    # The matrix, held while its JSON is built.
-    return (16 + JSON_PAIR_BYTES) * _amplitudes(args) ** 2
+    return MATRIX_ENTRY_BYTES * _amplitudes(args) ** 2
 
 
 def _iterate_bytes(args: argparse.Namespace) -> int:
-    # The input and the result state, held while the result's JSON is built,
-    # or the parse of a state file, freed before that.
+    # The states, or the parse of a state file, freed before the map runs.
     parse = 0 if args.state is None else STATE_FILE_PARSE_BYTES * os.path.getsize(args.state)
-    return max((2 * 16 + JSON_PAIR_BYTES) * _amplitudes(args), parse)
+    return max(ITERATE_AMPLITUDE_BYTES * _amplitudes(args), parse)
 
 
 def _echo_bytes(args: argparse.Namespace) -> int:
@@ -193,20 +199,24 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     else:
         state = basis_state(args.qubits, args.basis)
     result = iterate(state, args.steps)
-    _emit(io.state_to_json(result) + "\n", args)
+    if args.out is None:
+        _emit(itertools.chain(io.state_json_chunks(result), ("\n",)), args)
+    else:
+        io.write_state(result, args.out)
+        _write_manifest(args)
     return 0
 
 
 def cmd_echo(args: argparse.Namespace) -> int:
     cfg = EchoConfig(args.qubits, args.steps, args.delta, args.ensemble, args.seed)
     records = loschmidt_echo(cfg)
-    _emit(io.echo_records_to_csv(records), args, args.seed)
+    _emit((io.echo_records_to_csv(records),), args, args.seed)
     return 0
 
 
 def cmd_formfactor(args: argparse.Namespace) -> int:
     values = form_factor(args.qubits, args.nmax)
-    _emit(io.form_factor_to_csv(values), args)
+    _emit((io.form_factor_to_csv(values),), args)
     return 0
 
 

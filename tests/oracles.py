@@ -11,13 +11,22 @@ against a path that shares none of its batching.
 The forward Fourier network carries negative conditional-phase angles.
 `resolve_phase_sign` re-derives that sign from scratch against the dense
 transform, so the convention is pinned by a check rather than assumed.
+
+`state_from_json_loop` is the state JSON reader that checks and converts
+entry by entry, so the library's array reader is checked against it for
+identical bits and identical error messages.
 """
+import json
+import math
+
 import numpy as np
 
 from qbaker import (
     Circuit,
     EchoConfig,
     GateKind,
+    ParseError,
+    StateVector,
     TrajectoryRecord,
     circuit_to_matrix,
     dft_matrix,
@@ -140,3 +149,38 @@ def echo_member_replay(cfg: EchoConfig, member: int) -> TrajectoryRecord:
             np.sqrt(pert_sq),
         ))
     return TrajectoryRecord(*(np.array(column) for column in zip(*rows)))
+
+
+def state_from_json_loop(text: str) -> StateVector:
+    """Parse state JSON, checking and converting one entry at a time."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"state file is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError("state file must hold a JSON object")
+    qubits = obj.get("qubits")
+    if not isinstance(qubits, int) or isinstance(qubits, bool) or qubits < 1:
+        raise ParseError(f"field 'qubits': expected positive integer, got {qubits!r}")
+    amps = obj.get("amplitudes")
+    if not isinstance(amps, list):
+        raise ParseError("field 'amplitudes': expected a list")
+    if len(amps).bit_length() != qubits + 1 or len(amps) != 1 << qubits:
+        expected = f"2^{qubits} = {1 << qubits}" if qubits < 63 else f"2^{qubits}"
+        raise ParseError(f"field 'amplitudes': expected {expected} entries, got {len(amps)}")
+    out = np.empty(1 << qubits, dtype=np.complex128)
+    for i, entry in enumerate(amps):
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+        ):
+            raise ParseError(f"field 'amplitudes[{i}]': expected [re, im] pair")
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except OverflowError:
+            raise ParseError(f"field 'amplitudes[{i}]': value out of float range") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ParseError(f"field 'amplitudes[{i}]': non-finite value")
+        out[i] = complex(re, im)
+    return StateVector(qubits, out)

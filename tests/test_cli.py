@@ -1,8 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,15 @@ def test_baker_matrix_output(capsys):
     assert np.linalg.norm(mat - baker_matrix(2)) <= 1e-12
 
 
+def test_baker_matrix_output_bytes_are_pinned(capsys):
+    # 256 x 256 entries: 16 rows per slice of the JSON encoder.
+    code, out, _ = run(capsys, "baker", "--qubits", "8", "--form", "matrix")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5a91bb10f3ae3be69d2ec7d24f90f0337b9d51d45403fd6b046875dbd30c9a42"
+    )
+
+
 def test_baker_matrix_size_limits(capsys):
     code, _, err = run(capsys, "baker", "--qubits", "11", "--form", "matrix")
     assert code == 1 and "error" in err
@@ -213,6 +225,39 @@ def test_iterate_state_file_roundtrip(tmp_path, capsys):
     assert code == 0
     expect = iterate(basis_state(2, 1), 2)
     assert np.array_equal(read_state(str(dst)).amplitudes, expect.amplitudes)
+
+
+ITERATE_13_SHA256 = "a12a0d9f08464da0a77e26cdfa62e5e64b7603454d763038ec299375d49d18b0"
+
+
+def test_iterate_output_bytes_are_pinned(tmp_path, capsys):
+    # 8192 pairs, two slices of the state JSON encoder, on stdout and in the file.
+    argv = ("iterate", "--qubits", "13", "--basis", "5", "--steps", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ITERATE_13_SHA256
+    dst = tmp_path / "out.json"
+    code, _, _ = run(capsys, *argv, "--out", str(dst))
+    assert code == 0
+    assert hashlib.sha256(dst.read_bytes()).hexdigest() == ITERATE_13_SHA256
+
+
+def test_state_file_is_read_as_utf8_in_any_locale(tmp_path):
+    # RFC 8259 JSON is UTF-8; an ASCII locale must not change how it reads.
+    src = tmp_path / "in.json"
+    obj = {"qubits": 1, "amplitudes": [[0.6, 0.0], [0.0, 0.8]], "note": "état"}
+    src.write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "qbaker", "iterate", "--qubits", "1", "--state", str(src),
+            "--steps", "1"]
+    outs = []
+    for locale_env in ({"PYTHONUTF8": "1"},
+                       {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
+        proc = subprocess.run(argv, env={**env, **locale_env}, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert state_from_json(outs[0].decode()).qubits == 1
 
 
 def test_iterate_qubit_mismatch(tmp_path, capsys):
@@ -300,7 +345,7 @@ def _never_called(*args, **kwargs):
      "--seed", "0"),
     # 512 bytes for each of the 60^2 + 60 - 1 gates is about 1.8 MiB.
     ("baker", "--qubits", "60", "--form", "circuit"),
-    # 336 bytes for each of the 2^24 entries is about 5.3 GiB.
+    # 96 bytes for each of the 2^24 entries is 1.5 GiB.
     ("baker", "--qubits", "12", "--form", "matrix", "--allow-large"),
 ])
 def test_state_size_guard_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
@@ -328,12 +373,12 @@ def test_every_subcommand_has_a_size_decision():
 
 
 def test_state_size_guard_admits_what_fits(capsys, monkeypatch):
-    # 352 bytes per amplitude (two states and their JSON) is 704 KiB at
-    # L = 11, under the patched 1 MiB, and 1.4 MiB at L = 12.
+    # 64 bytes per amplitude (the states and the plan's copies) is 1 MiB at
+    # L = 14, not above the patched 1 MiB, and 2 MiB at L = 15.
     monkeypatch.setattr("qbaker.cli._physical_memory_bytes", lambda: 1 << 20)
-    code, stdout, _ = run(capsys, "iterate", "--qubits", "11", "--basis", "0", "--steps", "0")
-    assert code == 0 and json.loads(stdout)["qubits"] == 11
-    code, _, err = run(capsys, "iterate", "--qubits", "12", "--basis", "0", "--steps", "0")
+    code, stdout, _ = run(capsys, "iterate", "--qubits", "14", "--basis", "0", "--steps", "0")
+    assert code == 0 and json.loads(stdout)["qubits"] == 14
+    code, _, err = run(capsys, "iterate", "--qubits", "15", "--basis", "0", "--steps", "0")
     assert code == 1 and "physical memory" in err
     # 512 bytes for each of the 40^2 + 40 - 1 gates is about 0.8 MiB.
     code, stdout, _ = run(capsys, "baker", "--qubits", "40", "--form", "circuit")

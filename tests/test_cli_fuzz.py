@@ -113,7 +113,7 @@ STATE_FILE = "{state_file}"
 HUGE_COMMANDS = {
     "iterate": st.builds(
         lambda q, s: ["iterate", *_flags(qubits=q, basis=0, steps=s)],
-        st.one_of(st.integers(22, 70), HUGE), COUNTS,
+        st.one_of(st.integers(25, 70), HUGE), COUNTS,
     ),
     "iterate-state": st.builds(
         lambda s: ["iterate", *_flags(qubits=2, state=STATE_FILE, steps=s)], COUNTS
@@ -149,8 +149,8 @@ def huge_state_file(tmp_path_factory):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_huge_outputs_are_refused_before_any_work(command, data, huge_state_file):
-    # 10^7 rows of echo or form-factor output, a 2^22-amplitude state and its
-    # JSON, a 1 GiB state file to parse, or a 10^7-qubit network or matrix
+    # 10^7 rows of echo or form-factor output, a 2^25-amplitude state, a
+    # 1 GiB state file to parse, or a 10^7-qubit network or matrix
     # need more than the 1 GiB the probe reports; nothing is ever allocated
     # for them, and the state file is never read.
     argv = [arg.format(state_file=huge_state_file) for arg in data.draw(HUGE_COMMANDS[command])]

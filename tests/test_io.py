@@ -1,7 +1,10 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import state_from_json_loop
 
 from qbaker import (
     Circuit,
@@ -15,6 +18,7 @@ from qbaker import (
     random_state,
     swap_gate,
 )
+from qbaker import io
 from qbaker.io import (
     circuit_to_text,
     echo_records_to_csv,
@@ -53,6 +57,112 @@ def test_state_json_shape():
 def test_state_json_bytes_keep_signed_zeros_and_subnormals():
     s = StateVector(1, np.array([complex(-0.0, 5e-324), complex(0.1, -0.0)]))
     assert state_to_json(s) == '{"qubits": 1, "amplitudes": [[-0.0, 5e-324], [0.1, -0.0]]}'
+
+
+def test_write_state_bytes_are_pinned(tmp_path):
+    # 16384 pairs: four slices of JSON_SLICE_PAIRS, so the slice joins are
+    # inside the pinned bytes.
+    path = tmp_path / "state.json"
+    write_state(random_state(14, 99), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "117f52999c4056593f25363fde30d09d51a886f037250d7717dc13289e47f3a8"
+    )
+
+
+@pytest.mark.parametrize("slice_pairs", [3, 33])
+def test_sliced_json_is_json_dumps_of_the_whole_list(monkeypatch, slice_pairs):
+    # 3 pairs per slice splits the 32 pairs of the state unevenly and gives
+    # the 8 x 8 matrix one row per slice; 33 holds the state in one slice
+    # and gives the matrix slices of 4 rows.
+    monkeypatch.setattr(io, "JSON_SLICE_PAIRS", slice_pairs)
+    state = random_state(5, 7)
+    amps = state.amplitudes.copy()
+    amps[[0, 5, 31]] = [complex(-0.0, 5e-324), complex(0.0, -0.0), complex(1e300, -2.5e-310)]
+    state = StateVector(5, amps)
+    pairs = amps.view(np.float64).reshape(-1, 2).tolist()
+    assert state_to_json(state) == json.dumps({"qubits": 5, "amplitudes": pairs})
+    mat = np.outer(amps[:8], amps[8:16].conj())
+    mat[3, 3] = complex(-0.0, 0.0)
+    entries = mat.view(np.float64).reshape(8, 8, 2).tolist()
+    assert matrix_to_json(mat, 3) == json.dumps({"qubits": 3, "dim": 8, "entries": entries})
+
+
+def test_json_writers_hold_one_slice(tmp_path):
+    # Whole lists would hold 128 bytes per pair, 4 MiB for the state and
+    # 8 MiB for the matrix. One slice of 4096 pairs holds under 1 MiB.
+    state = random_state(15, 2)
+    mat = np.full((256, 256), complex(0.1, -0.3))
+    writes = (lambda: write_state(state, str(tmp_path / "s.json")),
+              lambda: io.write_text_file(io.matrix_json_chunks(mat, 8), str(tmp_path / "m.json")))
+    for write in writes:
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
+def _read_outcome(reader, text):
+    try:
+        state = reader(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", state.qubits, state.amplitudes.tobytes()
+
+
+def _pairs_text(entries, qubits=1):
+    return '{"qubits": %d, "amplitudes": [%s]}' % (qubits, ", ".join(entries))
+
+
+READER_CASES = {
+    "ints": ["[0, -0]", "[9007199254740993, 1]"],
+    "ints past int64": ["[18446744073709551617, -9223372036854776833]", "[9223372036854776833, 0]"],
+    "int rounding to the largest float": [f"[{2**1024 - 2**970 - 1}, 0]", "[0, 0]"],
+    "int past the float range": ["[0, 0]", "[1" + "0" * 400 + ", 0]"],
+    "int past the float range, first": ["[-1" + "0" * 400 + ", 0]", "[0, 0]"],
+    "true": ["[true, 0]", "[0, 0]"],
+    "false in the last entry": ["[0, 0]", "[0.5, false]"],
+    "null": ["[0, null]", "[0, 0]"],
+    "string": ["[0, 0]", '["1.0", 0]'],
+    "NaN": ["[NaN, 0]", "[0, 0]"],
+    "Infinity": ["[0, 0]", "[0, Infinity]"],
+    "-Infinity": ["[-Infinity, 0]", "[0, 0]"],
+    "1e400": ["[0, 0]", "[1e400, 0]"],
+    "short pair first": ["[1.0]", "[0, 0]"],
+    "long pair last": ["[1.0, 0.0]", "[0.0, 0.0, 0.0]"],
+    "empty pair": ["[]", "[0, 0]"],
+    "nested list": ["[[1.0], 0.0]", "[0, 0]"],
+    "number as entry": ["[0.5, 0.5]", "0.5"],
+    "object as entry": ['{"re": 1}', "[0, 0]"],
+    "mixed ints and floats": ["[1, 0.5]", "[-0.0, 2]"],
+    "signed zeros and subnormals": ["[-0.0, 5e-324]", "[0.0, -2.2250738585072014e-308]"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_state_reader_matches_the_entry_loop(case):
+    text = _pairs_text(READER_CASES[case])
+    assert _read_outcome(state_from_json, text) == _read_outcome(state_from_json_loop, text)
+
+
+def test_state_reader_matches_the_entry_loop_on_mixed_files():
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        values = rng.standard_normal((16, 2))
+        cells = [repr(float(v)) if rng.random() < 0.5 else str(int(v * 1e6)) for v in values.ravel()]
+        entries = [f"[{re}, {im}]" for re, im in zip(cells[0::2], cells[1::2])]
+        if trial % 2:
+            entries[rng.integers(16)] = "[0.5, true]"
+        text = _pairs_text(entries, qubits=4)
+        assert _read_outcome(state_from_json, text) == _read_outcome(state_from_json_loop, text)
+
+
+def test_state_reader_converts_written_files_in_one_pass():
+    for state in (random_state(6, 1), basis_state(3, 2)):
+        amps = json.loads(state_to_json(state))["amplitudes"]
+        assert io._pairs_array(amps) is not None
 
 
 def test_state_wrong_amplitude_count():
