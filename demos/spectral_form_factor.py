@@ -1,10 +1,11 @@
 """Spectral form factor K(n) = |tr T^n|^2 / D of the quantized map.
 
 Computed from dense matrix powers, no eigendecomposition: T is unitary,
-so each product T^(3m) = T^(3m-3) @ T^3 also gives the traces of T^(3m-1)
-and T^(3m-2) as vdot(T, T^(3m)) and vdot(T^2, T^(3m)). For a chaotic map K(n) fluctuates around 1 at late times (the random-matrix
-plateau); early-time structure reflects short periodic orbits. Writes
-form_factor.csv for the largest size.
+so each product P = T^c of the chain P <- P @ T^7 gives seven traces,
+tr T^(c-j) = vdot(T^j, P) and tr T^(c+j) = sum(T^j * P^T) for j = 1..3,
+and tr P. For a chaotic map K(n) fluctuates around 1 at late times (the
+random-matrix plateau); early-time structure reflects short periodic
+orbits. Writes form_factor.csv for the largest size.
 """
 import numpy as np
 

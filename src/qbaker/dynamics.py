@@ -3,8 +3,9 @@
 Everything here runs through the O(D)-per-gate kernels; dense matrices
 appear only inside the form factor (which needs traces of matrix powers)
 and stay behind the usual size guard. Because T is unitary, one dense
-product there yields three traces (tr T^(k-j) = vdot(T^j, T^k)), so K(n)
-out to n_max takes about n_max / 3 products.
+product P = T^c there yields seven traces, tr T^(c-3) .. tr T^(c+3), from
+the kept powers T, T^2 and T^3, so K(n) out to n_max takes about
+n_max / 7 products.
 """
 from __future__ import annotations
 
@@ -21,6 +22,9 @@ from .qft import qft_circuit
 from .state import StateVector, random_state
 
 DIST_NORM_TOL = 1e-6
+# Powers T .. T^KEPT_POWERS that `form_factor` keeps; each dense product then
+# yields 2 * KEPT_POWERS + 1 traces.
+KEPT_POWERS = 3
 
 
 def iterate(state: StateVector, steps: int, *, copy: bool = True) -> StateVector:
@@ -100,31 +104,48 @@ def distribution_entropy(p: np.ndarray) -> float | np.ndarray:
 
 
 def form_factor(qubits: int, n_max: int) -> np.ndarray:
-    """K(n) = |tr(T^n)|^2 / D for n = 1..n_max, by a stride-3 power chain.
+    """K(n) = |tr(T^n)|^2 / D for n = 1..n_max, by a two-sided power chain.
 
-    T is unitary, so T^-j = (T^j)^dagger and tr T^(k-j) = vdot(T^j, T^k).
-    The traces of T, T^2 and S = T^3 are read directly; after that each
-    product P <- P @ S gives P = T^(3m) and three traces: tr P,
-    vdot(T, P) and vdot(T^2, P). That is ceil(n_max / 3) + 1 dense
-    products for n_max >= 3 instead of n_max, with at most five D x D
-    matrices live (T, T^2, S, P and the new product).
+    The powers T, T^2 and T^3 are kept (j = 1..KEPT_POWERS). With P = T^c,
+    T unitary gives T^-j = (T^j)^dagger, so tr T^(c-j) = vdot(T^j, P), and
+    tr T^(c+j) = tr(T^j P) = sum(T^j * P^T). The chain reads the traces of
+    T .. T^4 directly and those of T^5 .. T^7 from P = T^4, then steps
+    P <- P @ T^7 and reads tr T^(c-3) .. tr T^(c+3) from each product.
+    That is n_max - 1 dense products for n_max <= 4, 3 for n_max = 5..7
+    and 4 + ceil((n_max - 7) / 7) beyond (77 at the Heisenberg time of
+    9 qubits, against 512 for one product per n). T^7 is built only when
+    n_max > 7. Six D x D matrices are live at most: T, T^2, T^3, T^7, P
+    and one spare, which takes P^T and then the next product.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    j = KEPT_POWERS
     t = baker_matrix(qubits)
-    # Allocated before any product, so an n_max numpy cannot hold fails at once.
-    traces = np.empty(n_max, dtype=np.complex128)
-    powers = [t]  # T, T^2, T^3, as far as n_max reaches
-    while len(powers) < min(n_max, 3):
-        powers.append(powers[-1] @ t)
-    traces[:3] = [np.trace(m) for m in powers][:n_max]
-    if n_max > 3:
-        t2, step = powers[1], powers[2]
-        power = step
-        for n in range(3, n_max, 3):
-            power = power @ step  # T^(n+3): traces[n + j] is tr T^(n+1+j)
-            traces[n:n + 3] = (np.vdot(t2, power), np.vdot(t, power), np.trace(power))[:n_max - n]
-    return np.abs(traces) ** 2 / (1 << qubits)
+    # Allocated before any product, so an n_max numpy cannot hold fails at
+    # once; the last product's reads may run 2j traces past n_max.
+    traces = np.empty(n_max + 2 * j, dtype=np.complex128)
+    kept = [t]  # T, T^2, .., T^(j+1), as far as n_max reaches
+    while len(kept) < min(n_max, j + 1):
+        kept.append(kept[-1] @ t)
+    traces[:len(kept)] = [np.trace(m) for m in kept]
+    if n_max > j + 1:
+        power = kept.pop()  # P = T^(j+1), held apart so it can be freed
+        step = kept[-1] @ power if n_max > 2 * j + 1 else None  # T^(2j+1)
+        spare = np.empty_like(power)
+        c = j + 1
+        while True:
+            np.copyto(spare, power.T)
+            for i, m in enumerate(kept, 1):
+                traces[c + i - 1] = np.dot(m.ravel(), spare.ravel())
+            if c + j >= n_max:
+                break
+            np.matmul(power, step, out=spare)
+            power, spare = spare, power
+            c += 2 * j + 1
+            traces[c - 1] = np.trace(power)
+            for i, m in enumerate(kept, 1):
+                traces[c - i - 1] = np.vdot(m, power)
+    return np.abs(traces[:n_max]) ** 2 / (1 << qubits)
 
 
 def _kick(arr: np.ndarray, qubits: int, angles) -> None:

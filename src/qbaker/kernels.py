@@ -35,6 +35,17 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _lock = threading.Lock()
 _num_threads = 1
 _pool: ThreadPoolExecutor | None = None
+_pid = os.getpid()  # the process that made _lock and _pool
+
+
+def _renew_after_fork() -> None:
+    # The pool's worker threads do not exist in a forked child, and the lock
+    # may have been held by one of the parent's threads at the fork.
+    global _lock, _pool, _pid
+    if os.getpid() != _pid:
+        _lock = threading.Lock()
+        _pool = None
+        _pid = os.getpid()
 
 
 def set_num_threads(n: int) -> None:
@@ -46,6 +57,7 @@ def set_num_threads(n: int) -> None:
     global _num_threads, _pool
     if n < 1:
         raise DomainError(f"thread count must be >= 1, got {n}")
+    _renew_after_fork()
     with _lock:
         if n != _num_threads and _pool is not None:
             _pool.shutdown(wait=True)
@@ -59,21 +71,11 @@ def get_num_threads() -> int:
 
 def _get_pool(n: int) -> ThreadPoolExecutor:
     global _pool
+    _renew_after_fork()
     with _lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=n)
         return _pool
-
-
-def _reset_after_fork() -> None:
-    # The pool's worker threads do not exist in a forked child, and the lock
-    # may have been held by one of the parent's threads at the fork.
-    global _lock, _pool
-    _lock = threading.Lock()
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def run_chunks(chunk_fn, nchunks: int) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,10 +210,12 @@ def _dense_power_form_factor(qubits, n_max):
     return out
 
 
-# Every n_max mod 3, at every L up to 8, and the Heisenberg time 2^L up to L = 6.
+# Every n_max up to 15 (each residue mod 7, and the switches at 4/5 and 7/8)
+# at every L up to 8, and the Heisenberg time 2^L up to L = 6 (L = 3's, 8,
+# is in the first list).
 @pytest.mark.parametrize("qubits, n_max", [
-    *((q, n) for q in range(1, 9) for n in (0, 1, 2, 3, 4, 5, 6, 7, 40)),
-    *((q, 1 << q) for q in range(1, 7)),
+    *((q, n) for q in range(1, 9) for n in (*range(16), 40)),
+    *((q, 1 << q) for q in (1, 2, 4, 5, 6)),
 ])
 def test_form_factor_matches_dense_powers(qubits, n_max):
     got = form_factor(qubits, n_max)
@@ -225,6 +228,45 @@ def test_form_factor_matches_eigenvalues():
     n = np.arange(1, 257)
     expect = np.abs(np.power(lam[None, :], n[:, None]).sum(axis=1)) ** 2 / 256
     assert np.all(np.abs(form_factor(8, 256) - expect) <= 1e-9)
+
+
+class _CountingMatrix(np.ndarray):
+    """ndarray that counts the matmul calls made with it."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__":
+            _CountingMatrix.matmuls += 1
+        if "out" in kwargs:
+            kwargs["out"] = _plain(kwargs["out"])
+        result = getattr(ufunc, method)(*_plain(inputs), **kwargs)
+        return result.view(_CountingMatrix) if isinstance(result, np.ndarray) else result
+
+
+def _plain(arrays):
+    return tuple(x.view(np.ndarray) if isinstance(x, _CountingMatrix) else x for x in arrays)
+
+
+@pytest.mark.parametrize("n_max, products", [
+    (0, 0), (1, 0), (4, 3), (5, 3), (7, 3), (8, 5), (14, 5), (15, 6), (256, 40),
+])
+def test_form_factor_dense_product_count(monkeypatch, n_max, products):
+    # n_max - 1 products up to 4, 3 for 5..7, then 4 + ceil((n_max - 7) / 7).
+    monkeypatch.setattr(dynamics, "baker_matrix", lambda q: baker_matrix(q).view(_CountingMatrix))
+    _CountingMatrix.matmuls = 0
+    dynamics.form_factor(8, n_max)
+    assert _CountingMatrix.matmuls == products
+
+
+def test_form_factor_holds_at_most_six_matrices():
+    tracemalloc.start()
+    try:
+        form_factor(8, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.25 * 16 * 256 ** 2
 
 
 # --- phase kicks -----------------------------------------------------------

@@ -1,5 +1,8 @@
+import gc
+import importlib
 import multiprocessing
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -184,6 +187,34 @@ def test_threaded_kernels_work_in_a_forked_child():
     finally:
         set_num_threads(1)
     assert child.exitcode == 0
+
+
+def _import_fresh_kernels():
+    for name in [n for n in sys.modules if n == "qbaker" or n.startswith("qbaker.")]:
+        del sys.modules[name]
+    return importlib.import_module("qbaker.kernels")
+
+
+def test_reimported_kernels_module_is_collectable():
+    # Nothing process-wide (such as a fork callback) may keep an imported
+    # copy of the module, and so its globals, alive.
+    saved = {n: m for n, m in sys.modules.items() if n == "qbaker" or n.startswith("qbaker.")}
+
+    class Marker:
+        pass
+
+    try:
+        old = _import_fresh_kernels()
+        old.marker = Marker()
+        ref = weakref.ref(old.marker)
+        del old
+        _import_fresh_kernels()
+        gc.collect()
+        assert ref() is None
+    finally:
+        for name in [n for n in sys.modules if n == "qbaker" or n.startswith("qbaker.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def test_threaded_application_bitwise_identical():
