@@ -1,14 +1,12 @@
 """Spectral form factor K(n) = |tr T^n|^2 / D of the quantized map.
 
-Computed from dense matrix powers, no eigendecomposition: T is unitary,
-so each product P = T^c of the chain P <- P @ T^7 gives seven traces,
-tr T^(c-j) = vdot(T^j, P) and tr T^(c+j) = sum(T^j * P^T) for j = 1..3,
-and tr P. For a chaotic map K(n) fluctuates around 1 at late times (the
-random-matrix plateau); early-time structure reflects short periodic
-orbits. Writes form_factor.csv for the largest size.
+Past a few n the traces are power sums of T's eigenvalues,
+tr T^n = sum_k lambda_k^n. T is unitary, so the Hermitian
+M = aT + conj(a)T^H shares its eigenvectors, and one `eigh` of M gives
+them; lambda_k = v_k^H T v_k. For a chaotic map K(n) fluctuates around 1
+at late times (the random-matrix plateau); early-time structure reflects
+short periodic orbits. Writes form_factor.csv for the largest size.
 """
-import numpy as np
-
 from qbaker import form_factor
 from qbaker.io import form_factor_to_csv, write_text_file
 

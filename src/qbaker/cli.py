@@ -71,8 +71,11 @@ ECHO_ROW_BYTES = 384
 STATE_FILE_PARSE_BYTES = 32
 # Bytes of `formfactor` per n: the trace, |trace|^2 / D and the CSV line in
 # the line list and the joined text. Measured as 140 at n = 2-4 x 10^4. The
-# dense matrices stay behind the dense size guard: six of them, 96 bytes per
-# entry by tracemalloc at L = 8, 9 and 10 (101 MB at its limit of 10 qubits).
+# dense matrices stay behind the dense size guard. Past a few n the form
+# factor holds M (built in T's buffer), LAPACK's copy of it and workspace
+# for `eigh` (three matrices' worth), and the eigenvectors: 70 / 81 / 82
+# bytes per entry by ru_maxrss at L = 8 / 9 / 10 (86 MB at its limit of 10
+# qubits). tracemalloc misses the LAPACK part and reads 64.
 FORM_FACTOR_ROW_BYTES = 256
 
 

@@ -1,11 +1,10 @@
 """Iteration and quantum-chaos diagnostics for the quantized baker map.
 
 Everything here runs through the O(D)-per-gate kernels; dense matrices
-appear only inside the form factor (which needs traces of matrix powers)
-and stay behind the usual size guard. Because T is unitary, one dense
-product P = T^c there yields seven traces, tr T^(c-3) .. tr T^(c+3), from
-the kept powers T, T^2 and T^3, so K(n) out to n_max takes about
-n_max / 7 products.
+appear only inside the form factor and stay behind the usual size guard.
+The form factor reads tr T^n off dense powers for short runs. For longer
+ones it takes T's eigenvalues from one Hermitian eigendecomposition, and
+then every tr T^n = sum_k lambda_k^n costs O(D).
 """
 from __future__ import annotations
 
@@ -17,14 +16,22 @@ import numpy as np
 from . import kernels
 from .baker import baker_circuit, baker_matrix
 from .errors import DomainError
-from .gates import _apply_circuit_array
+from .gates import _apply_circuit_array, circuit_to_matrix
 from .qft import qft_circuit
 from .state import StateVector, random_state
 
 DIST_NORM_TOL = 1e-6
-# Powers T .. T^KEPT_POWERS that `form_factor` keeps; each dense product then
-# yields 2 * KEPT_POWERS + 1 traces.
-KEPT_POWERS = 3
+# `form_factor` takes n_max - 1 dense products up to this n_max and one
+# `eigh` beyond it. The `eigh` route costs as much as about 13 products at
+# 9 qubits, 16 at 10 and 22 at 8.
+FORM_FACTOR_DIRECT_MAX = 14
+# a = (1 - i c) / 2 with c = (sqrt(5) - 1) / 2, the Hermitian mix of T in
+# `_eigenvalues`.
+EIGH_MIX = (1 - 0.5j * (math.sqrt(5) - 1)) / 2
+# Eigenvalues of T from `eigh` must lie this close to the unit circle.
+UNIT_MODULUS_TOL = 1e-9
+# Entries in the power table of `_power_sums` and in one slab of `_eigenvalues`.
+POWER_TABLE_ENTRIES = 1 << 16
 
 
 def iterate(state: StateVector, steps: int, *, copy: bool = True) -> StateVector:
@@ -104,48 +111,87 @@ def distribution_entropy(p: np.ndarray) -> float | np.ndarray:
 
 
 def form_factor(qubits: int, n_max: int) -> np.ndarray:
-    """K(n) = |tr(T^n)|^2 / D for n = 1..n_max, by a two-sided power chain.
+    """K(n) = |tr(T^n)|^2 / D for n = 1..n_max.
 
-    The powers T, T^2 and T^3 are kept (j = 1..KEPT_POWERS). With P = T^c,
-    T unitary gives T^-j = (T^j)^dagger, so tr T^(c-j) = vdot(T^j, P), and
-    tr T^(c+j) = tr(T^j P) = sum(T^j * P^T). The chain reads the traces of
-    T .. T^4 directly and those of T^5 .. T^7 from P = T^4, then steps
-    P <- P @ T^7 and reads tr T^(c-3) .. tr T^(c+3) from each product.
-    That is n_max - 1 dense products for n_max <= 4, 3 for n_max = 5..7
-    and 4 + ceil((n_max - 7) / 7) beyond (77 at the Heisenberg time of
-    9 qubits, against 512 for one product per n). T^7 is built only when
-    n_max > 7. Six D x D matrices are live at most: T, T^2, T^3, T^7, P
-    and one spare, which takes P^T and then the next product.
+    Which route runs depends on n_max alone. Up to FORM_FACTOR_DIRECT_MAX
+    the traces are read off dense powers, P <- P @ T: n_max - 1 products,
+    with T, P and the next product live. Beyond it they are power sums of
+    T's eigenvalues, tr T^n = sum_k lambda_k^n (see `_eigenvalues`), whose
+    cost hardly grows with n_max: about 0.15 s at 9 qubits out to the
+    Heisenberg time, where one dense product takes 0.013 s.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    j = KEPT_POWERS
-    t = baker_matrix(qubits)
-    # Allocated before any product, so an n_max numpy cannot hold fails at
-    # once; the last product's reads may run 2j traces past n_max.
-    traces = np.empty(n_max + 2 * j, dtype=np.complex128)
-    kept = [t]  # T, T^2, .., T^(j+1), as far as n_max reaches
-    while len(kept) < min(n_max, j + 1):
-        kept.append(kept[-1] @ t)
-    traces[:len(kept)] = [np.trace(m) for m in kept]
-    if n_max > j + 1:
-        power = kept.pop()  # P = T^(j+1), held apart so it can be freed
-        step = kept[-1] @ power if n_max > 2 * j + 1 else None  # T^(2j+1)
-        spare = np.empty_like(power)
-        c = j + 1
-        while True:
-            np.copyto(spare, power.T)
-            for i, m in enumerate(kept, 1):
-                traces[c + i - 1] = np.dot(m.ravel(), spare.ravel())
-            if c + j >= n_max:
-                break
-            np.matmul(power, step, out=spare)
-            power, spare = spare, power
-            c += 2 * j + 1
-            traces[c - 1] = np.trace(power)
-            for i, m in enumerate(kept, 1):
-                traces[c - i - 1] = np.vdot(m, power)
-    return np.abs(traces[:n_max]) ** 2 / (1 << qubits)
+    # Allocated before any work, so an n_max numpy cannot hold fails at once.
+    traces = np.empty(n_max, dtype=np.complex128)
+    if n_max <= FORM_FACTOR_DIRECT_MAX:
+        t = power = baker_matrix(qubits)
+        for n in range(n_max):
+            if n:
+                power = power @ t
+            traces[n] = np.trace(power)
+    else:
+        _power_sums(_eigenvalues(qubits), traces)
+    return np.abs(traces) ** 2 / (1 << qubits)
+
+
+def _eigenvalues(qubits: int) -> np.ndarray:
+    """Eigenvalues of T from one `eigh`, or from `eigvals` if that fails.
+
+    T is normal, so M = a T + conj(a) T^H shares its eigenvectors, and M
+    is Hermitian with eigenvalue cos(theta) + c sin(theta) for T's
+    e^(i theta) (a = (1 - i c) / 2, c irrational): distinct eigenvalues of
+    T stay apart in M except on a set of measure zero. T comes from the
+    gate network, M is built in T's own buffer, and lambda_k = v_k^H T v_k
+    takes T v_k through the network too, so T is never held beside M's
+    eigenvectors. (Building T by the network also leaves fewer freed
+    matrix-sized holes than `baker_matrix` does; the workspace of `eigh`,
+    one block the size of two matrices, cannot reuse them.) Each v_k is a
+    unit vector and T is unitary, so |lambda_k| = 1 exactly when v_k is
+    an eigenvector of T; a pair of vectors that `eigh` mixed shows as
+    |lambda| < 1, and the general `eigvals` of T takes over.
+    """
+    circuit = baker_circuit(qubits)
+    m = circuit_to_matrix(circuit)
+    m *= EIGH_MIX
+    # eigh reads the lower triangle only; make it that of m + m^H, slab by
+    # slab of rows. Each slab reads only entries above its own rows,
+    # which no earlier slab wrote.
+    dim = m.shape[0]
+    rows = max(1, POWER_TABLE_ENTRIES // dim)
+    for r0 in range(0, dim, rows):
+        r1 = r0 + rows
+        m[r0:r1, :r0] += m[:r0, r0:r1].conj().T
+        block = m[r0:r1, r0:r1]
+        block += block.conj().T.copy()
+    _, vecs = np.linalg.eigh(m)
+    del m
+    tv = _apply_circuit_array(vecs.copy(), circuit)
+    tv *= np.conjugate(vecs, out=vecs)
+    lam = tv.sum(axis=0)
+    if np.abs(lam).min() < 1.0 - UNIT_MODULUS_TOL:
+        lam = np.linalg.eigvals(baker_matrix(qubits))
+    # Back onto the unit circle: a modulus error of delta would grow to
+    # n delta in lambda^n.
+    return lam / np.abs(lam)
+
+
+def _power_sums(lam: np.ndarray, out: np.ndarray) -> None:
+    """out[n - 1] = sum_k lam_k^n for n = 1..len(out).
+
+    A table of lam^1 .. lam^B (B x D <= POWER_TABLE_ENTRIES) turns each
+    block of B sums into one matrix-vector product with lam^(first n - 1).
+    """
+    rows = min(len(out), max(1, POWER_TABLE_ENTRIES // lam.size))
+    table = np.empty((rows, lam.size), dtype=np.complex128)
+    table[0] = lam
+    for i in range(1, rows):
+        np.multiply(table[i - 1], lam, out=table[i])
+    base = np.ones(lam.size, dtype=np.complex128)
+    for first in range(0, len(out), rows):
+        block = out[first:first + rows]
+        np.matmul(table[:len(block)], base, out=block)
+        base *= table[-1]
 
 
 def _kick(arr: np.ndarray, qubits: int, angles) -> None:

@@ -27,6 +27,7 @@ import numpy as np
 from .dynamics import TrajectoryRecord
 from .errors import ParseError
 from .gates import Circuit, GateKind
+from .kernels import get_num_threads
 from .state import StateVector
 
 
@@ -218,6 +219,10 @@ class RunManifest:
     version: str
     seed: int | None = None
     timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
+    # The numpy version and kernel thread count of the run; None when read
+    # from a manifest that predates them.
+    numpy: str | None = np.__version__
+    threads: int | None = field(default_factory=get_num_threads)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -227,6 +232,8 @@ class RunManifest:
                 "version": self.version,
                 "seed": self.seed,
                 "timestamp": self.timestamp,
+                "numpy": self.numpy,
+                "threads": self.threads,
             },
             indent=2,
         )
@@ -240,7 +247,8 @@ class RunManifest:
         for key in ("command", "params", "version", "timestamp"):
             if key not in obj:
                 raise ParseError(f"manifest missing field {key!r}")
-        return cls(obj["command"], obj["params"], obj["version"], obj.get("seed"), obj["timestamp"])
+        return cls(obj["command"], obj["params"], obj["version"], obj.get("seed"), obj["timestamp"],
+                   obj.get("numpy"), obj.get("threads"))
 
 
 def manifest_path(out_path: str) -> str:

@@ -10,9 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbaker import ClassicalPoint, baker_matrix, basis_state, classical_step, iterate
+from qbaker import (
+    ClassicalPoint,
+    baker_matrix,
+    basis_state,
+    classical_step,
+    get_num_threads,
+    iterate,
+    set_num_threads,
+)
 from qbaker.cli import _PEAK_BYTES, build_parser, main
 from qbaker.io import (
+    RunManifest,
     manifest_path,
     manifest_to_argv,
     read_manifest,
@@ -203,6 +212,25 @@ def test_manifest_params_are_the_parsed_arguments(tmp_path, capsys, argv, keys):
     manifest = read_manifest(manifest_path(str(out)))
     assert set(manifest.params) == keys
     assert manifest.params["qubits"] == 2 and manifest.params["out"] == str(out)
+
+
+def test_manifest_records_numpy_and_threads(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "ff.csv"
+    monkeypatch.setenv("QBAKER_THREADS", "2")
+    threads = get_num_threads()
+    try:
+        code, _, _ = run(capsys, "formfactor", "--qubits", "2", "--nmax", "2", "--out", str(out))
+    finally:
+        set_num_threads(threads)
+    assert code == 0
+    obj = json.loads(Path(manifest_path(str(out))).read_text())
+    assert list(obj)[4:] == ["timestamp", "numpy", "threads"]
+    assert obj["numpy"] == np.__version__ and obj["threads"] == 2
+    # A manifest without the two fields still reads.
+    del obj["numpy"], obj["threads"]
+    manifest = RunManifest.from_json(json.dumps(obj))
+    assert manifest.numpy is None and manifest.threads is None
+    assert manifest.params == {"qubits": 2, "nmax": 2, "out": str(out)}
 
 
 def test_iterate_basis(capsys):

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
-import tracemalloc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,12 +213,13 @@ def _dense_power_form_factor(qubits, n_max):
     return out
 
 
-# Every n_max up to 15 (each residue mod 7, and the switches at 4/5 and 7/8)
-# at every L up to 8, and the Heisenberg time 2^L up to L = 6 (L = 3's, 8,
-# is in the first list).
+# Every n_max up to 15 (both routes and the switch between them) at every L
+# up to 8, the Heisenberg time 2^L up to L = 6 (L = 3's, 8, is in the first
+# list), and the eigenvalue route at L = 9.
 @pytest.mark.parametrize("qubits, n_max", [
     *((q, n) for q in range(1, 9) for n in (*range(16), 40)),
     *((q, 1 << q) for q in (1, 2, 4, 5, 6)),
+    (9, 16), (9, 64),
 ])
 def test_form_factor_matches_dense_powers(qubits, n_max):
     got = form_factor(qubits, n_max)
@@ -224,10 +228,12 @@ def test_form_factor_matches_dense_powers(qubits, n_max):
 
 
 def test_form_factor_matches_eigenvalues():
-    lam = np.linalg.eigvals(baker_matrix(8))
-    n = np.arange(1, 257)
-    expect = np.abs(np.power(lam[None, :], n[:, None]).sum(axis=1)) ** 2 / 256
-    assert np.all(np.abs(form_factor(8, 256) - expect) <= 1e-9)
+    # (8, 700) spans three blocks of the 256-row power table.
+    for qubits, n_max in ((8, 256), (8, 700), (9, 512)):
+        lam = np.linalg.eigvals(baker_matrix(qubits))
+        n = np.arange(1, n_max + 1)
+        expect = np.abs(np.power(lam[None, :], n[:, None]).sum(axis=1)) ** 2 / (1 << qubits)
+        assert np.all(np.abs(form_factor(qubits, n_max) - expect) <= 1e-9)
 
 
 class _CountingMatrix(np.ndarray):
@@ -249,24 +255,80 @@ def _plain(arrays):
 
 
 @pytest.mark.parametrize("n_max, products", [
-    (0, 0), (1, 0), (4, 3), (5, 3), (7, 3), (8, 5), (14, 5), (15, 6), (256, 40),
+    (0, 0), (1, 0), (4, 3), (5, 4), (7, 6), (8, 7), (14, 13), (15, 0), (256, 0),
 ])
 def test_form_factor_dense_product_count(monkeypatch, n_max, products):
-    # n_max - 1 products up to 4, 3 for 5..7, then 4 + ceil((n_max - 7) / 7).
+    # n_max - 1 products up to the crossover at 14; beyond it none, and one eigh.
+    assert dynamics.FORM_FACTOR_DIRECT_MAX == 14
+    real_eigh, eigh_calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(a.shape) or real_eigh(a))
     monkeypatch.setattr(dynamics, "baker_matrix", lambda q: baker_matrix(q).view(_CountingMatrix))
     _CountingMatrix.matmuls = 0
     dynamics.form_factor(8, n_max)
     assert _CountingMatrix.matmuls == products
+    assert eigh_calls == ([] if n_max <= 14 else [(256, 256)])
 
 
-def test_form_factor_holds_at_most_six_matrices():
-    tracemalloc.start()
-    try:
-        form_factor(8, 256)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6.25 * 16 * 256 ** 2
+def test_form_factor_falls_back_to_eigvals_when_eigh_mixes_vectors(monkeypatch):
+    # Two eigenvectors mixed at 45 degrees have |v^H T v| < 1; the check must
+    # catch it and hand T to the general eigvals.
+    real_eigh, real_eigvals = np.linalg.eigh, np.linalg.eigvals
+    eigvals_calls = []
+
+    def mixing_eigh(a):
+        w, v = real_eigh(a)
+        v[:, [0, -1]] = v[:, [0, -1]] @ np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        return w, v
+
+    def counting_eigvals(a):
+        eigvals_calls.append(a.shape)
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", mixing_eigh)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    got = form_factor(6, 40)
+    assert eigvals_calls == [(64, 64)]
+    assert np.all(np.abs(got - _dense_power_form_factor(6, 40)) <= 1e-12)
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_form_factor_for_a_million_steps(qubits):
+    # Dozens of blocks of the power table, checked across their seams and
+    # at the end against e^(i n theta) from eigvals.
+    values = form_factor(qubits, 10**6)
+    theta = np.angle(np.linalg.eigvals(baker_matrix(qubits)))
+    n = np.array([1, 2, 3, 32767, 32768, 32769, 65536, 65537, 999_999, 10**6])
+    expect = np.abs(np.exp(1j * np.outer(n, theta)).sum(axis=1)) ** 2 / (1 << qubits)
+    assert values.shape == (10**6,)
+    assert np.all(np.abs(values[n - 1] - expect) <= 1e-9)
+
+
+# VmHWM is the peak resident size of this process's own memory; ru_maxrss
+# would also carry the peak of the test process it was forked from.
+_PEAK_RSS_SCRIPT = """
+from qbaker import form_factor
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+form_factor(7, 128)  # LAPACK's and BLAS's own buffers and code pages
+before = peak_kib()
+form_factor(9, 512)
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_form_factor_resident_peak_is_under_five_and_a_half_matrices():
+    # The eigh route holds M, LAPACK's copy of it and workspace (three
+    # matrices, unseen by tracemalloc) and the eigenvectors: 82 bytes per
+    # entry measured at L = 9, against 96 for the power chain it replaced.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 <= 5.5 * 16 * 512 ** 2
 
 
 # --- phase kicks -----------------------------------------------------------
