@@ -88,7 +88,7 @@ def baker_circuit(qubits: int) -> Circuit:
     inverse_stage = dagger(qft_circuit(qubits))
     if qubits == 1:
         return inverse_stage
-    block_stage = qft_block_circuit(qubits, qubits - 1)
+    block_stage = qft_block_circuit(qubits)
     return concat(block_stage, inverse_stage)
 
 

@@ -79,18 +79,14 @@ STATE_FILE_PARSE_BYTES = 32
 FORM_FACTOR_ROW_BYTES = 256
 
 
-def _write_manifest(args: argparse.Namespace, seed: int | None = None) -> None:
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    io.write_manifest(io.RunManifest(args.command, params, __version__, seed), args.out)
-
-
 def _emit(chunks: Iterable[str], args: argparse.Namespace, seed: int | None = None) -> None:
     """Print the text chunks, or write them to --out with a manifest of the parsed arguments."""
     if args.out is None:
         sys.stdout.writelines(chunks)
         return
     io.write_text_file(chunks, args.out)
-    _write_manifest(args, seed)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    io.write_manifest(io.RunManifest(args.command, params, __version__, seed), args.out)
 
 
 def cmd_qft_check(args: argparse.Namespace) -> int:
@@ -202,11 +198,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     else:
         state = basis_state(args.qubits, args.basis)
     result = iterate(state, args.steps)
-    if args.out is None:
-        _emit(itertools.chain(io.state_json_chunks(result), ("\n",)), args)
-    else:
-        io.write_state(result, args.out)
-        _write_manifest(args)
+    _emit(itertools.chain(io.state_json_chunks(result), ("\n",)), args)
     return 0
 
 

@@ -285,7 +285,8 @@ def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
     members. The output is bitwise reproducible from the config. Below
     `gates.FUSE_MIN_QUBITS` every column gets the bits it would get evolved
     on its own, so the output is also independent of batching; from there on
-    the fused execution plan makes every column agree with it to 1e-12.
+    the execution plan is built from dense blocks, and every column agrees
+    with it to 1e-12.
     """
     size = echo_batch_size(cfg.qubits, cfg.ensemble)
     records: list[TrajectoryRecord] = []

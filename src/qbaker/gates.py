@@ -27,8 +27,9 @@ array, and each column of a (D, M) array gets the bits of a lone state.
 
 From ``FUSE_MIN_QUBITS`` on, the plan is built from dense blocks instead
 (see _blocks and _block_steps), by commutation rules on the gate list
-alone: each block is a diagonal of B gates, applied as one phase table
-per chunk, then one 2^4 x 2^4 unitary on a window of 4 adjacent labels,
+alone: each block is a diagonal of B gates, applied as phase tables over
+bit spans, phases folded into the block's unitary and whole-chunk phases,
+then one 2^4 x 2^4 unitary on a window of 4 adjacent labels,
 applied as one matrix product per chunk (or, above the chunk height, per
 slab of the whole array). No A gate is then applied on its own. The
 result is deterministic for a given array shape and thread count, and
@@ -224,10 +225,10 @@ WINDOW_QUBITS = 4
 _MMAP_BYTES = 1 << 17
 
 # Chunk operations: (kind, m, n, value, mask). The value is the angle, the
-# phase itself for a whole-chunk phase, the tables of a fused phase, the
-# table of a diagonal or the matrix of a dense block; the operation acts on
-# the chunks whose index has every bit of the mask set.
-_HADAMARD, _COND_PHASE, _PHASE_ON_ONE, _CHUNK_PHASE, _FUSED_PHASE, _DIAGONAL, _DENSE = range(7)
+# phase itself for a whole-chunk phase, the table of a diagonal or the
+# matrix of a dense block; the operation acts on the chunks whose index has
+# every bit of the mask set.
+_HADAMARD, _COND_PHASE, _PHASE_ON_ONE, _CHUNK_PHASE, _DIAGONAL, _DENSE = range(6)
 
 
 def _chunk_op(gate: Gate, k: int) -> tuple | None:
@@ -314,44 +315,13 @@ def _fold_phases(c: int, lin: np.ndarray, pairs: tuple) -> np.ndarray:
     return _exp_i(expo)
 
 
-def _diagonal_op(gates: list[Gate]) -> tuple:
-    """B gates with both labels below the chunk height as one multiply by a
-    table over their bit span [a, b)."""
-    a = min(g.m for g in gates)
-    b = max(g.n for g in gates) + 1
-    return (_DIAGONAL, a, 0, _phase_table([(g.m - a, g.n - a, g) for g in gates], b - a), 0)
-
-
-def _fused_phase_op(gates: list[Gate], s: int, k: int) -> tuple:
-    """B gates that all carry label s >= k as one operation on a chunk of
-    2^k rows, acting on the chunks whose index has bit s set.
-
-    There they multiply the rows by e^{i sum theta_p b_p} over the partner
-    labels p. The partners below k span bits [a, b) of the row index; the
-    phase on them is one table over that span, or, if the span is wider
-    than ceil(k/2) bits, the product of two tables over its halves, each
-    shaped to broadcast over a view of the chunk. A partner p >= k is a
-    constant bit of the chunk index: `outer` holds (chunk bit, angle) for
-    each, summed per chunk into one factor.
-    """
-    partners = [(g.n if g.m == s else g.m, g) for g in gates]
-    outer = tuple((1 << (p - k), b_angle(g)) for p, g in partners if p >= k)
-    inner = sorted(p for p, _ in partners if p < k)
-    spans = []
-    if inner:
-        a, b = inner[0], inner[-1] + 1
-        h = (a + b) // 2
-        spans = [(a, b)] if b - a <= (k + 1) // 2 else [(h, b), (a, h)]
-    cuts = sorted({0, k}.union(*spans))
-    # Axes of the view, most significant bits first.
-    segments = list(zip(cuts, cuts[1:]))[::-1]
-    shape = tuple(1 << (hi - lo) for lo, hi in segments) + (-1,)
-    tables = tuple(
-        _phase_table([(p - lo, p - lo, g) for p, g in partners if lo <= p < hi], hi - lo)
-        .reshape([1 << (b - a) if lo <= a < hi else 1 for a, b in segments] + [1])
-        for lo, hi in spans
-    )
-    return (_FUSED_PHASE, s, 0, (shape, tables, outer), 1 << (s - k))
+def _diagonal_op(terms: list[tuple[int, int, Gate]], a: int, b: int, mask: int = 0) -> tuple:
+    """The B gates of `terms` (i, j, gate) with a <= i <= j < b as one
+    multiply by a table over bits [a, b) of the row index (i = j: the
+    gate's phase on bit i alone), on the chunks whose index has every bit
+    of `mask` set."""
+    table = _phase_table([(i - a, j - a, g) for i, j, g in terms if a <= i and j < b], b - a)
+    return (_DIAGONAL, a, 0, table, mask)
 
 
 def _blocks(gates: tuple[Gate, ...], window: dict[int, tuple[int, int]], k: int) -> list[tuple]:
@@ -415,24 +385,35 @@ def _block_steps(gates: tuple[Gate, ...], qubits: int, k: int) -> list[tuple[int
     they are a phase d_c over the window's bits, summed per chunk (see
     _fold_terms), so the chunk gets U diag(d_c). Otherwise the window
     is a step of its own at height hi, which acts on the whole array in
-    chunks of 2^hi rows. What is left of the diagonal is one fused phase
-    per label >= k.
+    chunks of 2^hi rows. Of the rest of the diagonal, the B gates that
+    share a label s >= k and have their partner p below k are a _DIAGONAL
+    table over the partners' bit span on the chunks with bit s set (two
+    tables, one per half, if the span is wider than ceil(k/2) bits), and
+    a B gate with both labels >= k is its _CHUNK_PHASE.
     """
     cuts = sorted(set(range(0, qubits, WINDOW_QUBITS)) | {k, qubits})
     window = {m: (lo, hi) for lo, hi in zip(cuts, cuts[1:]) for m in range(lo, hi)}
     steps, run = [], []
     for diag, win, body in _blocks(gates, window, k):
-        inner, fold, groups = [], [], {}
+        inner, fold, partners, above = [], [], {}, []
         for g in diag:
             if g.n < k:
                 inner.append(g)
             elif win is not None and win[1] <= k and (win[0] <= g.m < win[1] or g.m >= k):
                 fold.append(g)
+            elif g.m < k:
+                partners.setdefault(g.n, []).append((g.m, g.m, g))
             else:
-                groups.setdefault(g.n, []).append(g)
+                above.append(_chunk_op(g, k))
         if inner:
-            run.append(_diagonal_op(inner))
-        run.extend(_fused_phase_op(group, s, k) for s, group in sorted(groups.items()))
+            a = min(g.m for g in inner)
+            run.append(_diagonal_op([(g.m, g.n, g) for g in inner], a, max(g.n for g in inner) + 1))
+        for s, terms in sorted(partners.items()):
+            a, b = min(p for p, _, _ in terms), max(p for p, _, _ in terms) + 1
+            h = (a + b) // 2
+            spans = [(a, b)] if b - a <= (k + 1) // 2 else [(h, b), (a, h)]
+            run.extend(_diagonal_op(terms, lo, hi, 1 << (s - k)) for lo, hi in spans)
+        run.extend(above)
         if win is None:
             continue
         lo, hi = win
@@ -509,33 +490,18 @@ def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
                 if phases is not None:
                     unitary = unitary * _fold_phases(c, *phases)
                 kernels.dense_block(chunk, k, m, unitary, scratch)
-            elif kind == _DIAGONAL:
-                kernels.diagonal(chunk, k, m, value)
             elif kind == _HADAMARD:
                 kernels.hadamard(chunk, k, m)
             elif kind == _COND_PHASE:
                 kernels.cond_phase(chunk, k, m, n, value)
             elif c & mask != mask:
                 continue
+            elif kind == _DIAGONAL:
+                kernels.diagonal(chunk, k, m, value)
             elif kind == _PHASE_ON_ONE:
                 kernels.phase_on_one(chunk, k, m, value)
-            elif kind == _CHUNK_PHASE:
-                chunk *= value
             else:
-                _apply_phase_tables(chunk, c, *value)
-
-
-def _apply_phase_tables(chunk: np.ndarray, c: int, shape: tuple, tables: tuple,
-                        outer: tuple) -> None:
-    # A fused phase (see _fused_phase_op) on chunk number c.
-    angle = sum(theta for bit, theta in outer if c & bit)
-    if angle:
-        phase = complex(math.cos(angle), math.sin(angle))
-        tables = (tables[0] * phase,) + tables[1:] if tables else (phase,)
-    if tables:
-        target = chunk.reshape(shape)
-        for table in tables:
-            target *= table
+                chunk *= value  # _CHUNK_PHASE
 
 
 def _apply_circuit_array(arr: np.ndarray, circuit: Circuit) -> np.ndarray:

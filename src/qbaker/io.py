@@ -244,9 +244,13 @@ class RunManifest:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"manifest is not valid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ParseError("manifest must hold a JSON object")
         for key in ("command", "params", "version", "timestamp"):
             if key not in obj:
                 raise ParseError(f"manifest missing field {key!r}")
+        if not isinstance(obj["params"], dict):
+            raise ParseError("manifest field 'params' must hold a JSON object")
         return cls(obj["command"], obj["params"], obj["version"], obj.get("seed"), obj["timestamp"],
                    obj.get("numpy"), obj.get("threads"))
 

@@ -73,17 +73,19 @@ def qft_circuit(qubits: int) -> Circuit:
 
 
 @functools.lru_cache(maxsize=None)
-def qft_block_circuit(qubits: int, low_qubits: int) -> Circuit:
-    """Network applying the transform to qubits 0..low_qubits-1 only.
+def qft_block_circuit(qubits: int, low_qubits: int | None = None) -> Circuit:
+    """Network applying the transform to qubits 0..qubits-2 only: the block
+    stage of the map.
 
-    The remaining (most significant) qubits are untouched, so the dense
-    realization is block diagonal with 2^(qubits - low_qubits) identical
-    blocks.
+    The most significant qubit is untouched, so the dense realization is
+    block diagonal with 2 identical blocks. `low_qubits`, if given, must
+    be qubits - 1.
     """
-    if not 1 <= low_qubits <= qubits:
-        raise DomainError(f"low_qubits {low_qubits} outside [1, {qubits}]")
-    inner = qft_circuit(low_qubits)
-    return Circuit(qubits, inner.gates)
+    if qubits < 2:
+        raise DomainError(f"qubit count must be >= 2, got {qubits}")
+    if low_qubits not in (None, qubits - 1):
+        raise DomainError(f"low_qubits must be {qubits - 1}, got {low_qubits}")
+    return Circuit(qubits, qft_circuit(qubits - 1).gates)
 
 
 def qft_residual(qubits: int) -> float:

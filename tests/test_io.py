@@ -270,3 +270,22 @@ def test_form_factor_csv_strict():
     _strict_csv_check(text, ["n", "K"])
     rows = text.splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4", "5"]
+
+
+# --- run manifests ----------------------------------------------------------
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "must hold a JSON object"),
+    ("null", "must hold a JSON object"),
+    ('"command params version timestamp"', "must hold a JSON object"),
+    ('["command", "params", "version", "timestamp"]', "must hold a JSON object"),
+    ('{"command": "iterate", "params": 3, "version": "1", "timestamp": "t"}',
+     "'params' must hold a JSON object"),
+    ('{"command": "iterate", "params": ["qubits"], "version": "1", "timestamp": "t"}',
+     "'params' must hold a JSON object"),
+    ('{"command": "iterate", "params": {}, "version": "1"}', "missing field 'timestamp'"),
+    ("{", "not valid JSON"),
+])
+def test_manifest_reader_rejects_malformed_input(text, message):
+    with pytest.raises(ParseError, match=message):
+        io.RunManifest.from_json(text)

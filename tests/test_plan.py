@@ -10,6 +10,8 @@ every plan path at small sizes, with the chunk size and FUSE_MIN_QUBITS
 patched down, and are also checked against a product of per-gate dense
 matrices.
 """
+import hashlib
+import itertools
 import math
 import multiprocessing
 import sys
@@ -41,12 +43,11 @@ KERNEL_OF_OP = {
     gates._COND_PHASE: (kernels, "cond_phase"),
     gates._PHASE_ON_ONE: (kernels, "phase_on_one"),
     gates._CHUNK_PHASE: None,  # an in-place product in the plan itself
-    gates._FUSED_PHASE: (gates, "_apply_phase_tables"),
     gates._DIAGONAL: (kernels, "diagonal"),
     gates._DENSE: (kernels, "dense_block"),
 }
 # Operations that only a plan built from dense blocks holds.
-BLOCK_OPS = {gates._FUSED_PHASE, gates._DIAGONAL, gates._DENSE}
+BLOCK_OPS = {gates._DIAGONAL, gates._DENSE}
 
 
 def _gate_loop(arr: np.ndarray, circuit) -> np.ndarray:
@@ -181,15 +182,17 @@ def test_small_arrays_run_as_one_chunk(monkeypatch):
 
 def test_plan_calls_kernels_through_the_module(monkeypatch):
     # Wrappers put on the kernels module (as a tracer does) see every call
-    # the plan makes, as many as its steps and chunk masks imply; so does a
-    # wrapper on the plan's own phase-table multiply. The plan is built
-    # first: its dense blocks come from circuit_to_matrix, which calls the
-    # kernels too.
+    # the plan makes, as many as its steps and chunk masks imply: a masked
+    # diagonal table runs only on the chunks with its partners' label set.
+    # The plan is built first: its dense blocks come from circuit_to_matrix,
+    # which calls the kernels too.
     qubits = 18
     psi = random_state(qubits, 3).amplitudes
     circuit = baker_circuit(qubits)
     k = gates._chunk_qubits(psi.size, qubits)
     steps, _ = gates._plan(circuit, k, True)
+    masks = {mask for _, ops in steps for kind, _, _, _, mask in ops if kind == gates._DIAGONAL}
+    assert 0 in masks and len(masks) > 1
     calls = Counter()
     targets = [(kernels, "swap_bits"), (kernels, "permute_bits")]
     for module, name in targets + [fn for fn in KERNEL_OF_OP.values() if fn is not None]:
@@ -210,14 +213,16 @@ def test_plan_calls_kernels_through_the_module(monkeypatch):
                 expect[KERNEL_OF_OP[kind][1]] += sum(1 for c in chunks if c & mask == mask)
     assert calls == expect
     # The block plan applies no gate on its own: every A is in a dense block.
-    assert calls["dense_block"] and calls["diagonal"] and calls["_apply_phase_tables"]
+    assert calls["dense_block"] and calls["diagonal"]
     assert not calls["hadamard"] and not calls["cond_phase"]
 
 
 # Hand-made circuits at L = 8 for chunks of 2^4 rows: no A gate at all (a
-# fused phase with no table), a partner above the chunk height beside one
-# in-chunk partner, in-chunk partners too far apart for one table, and an
-# in-chunk B gate before a block above the chunk height (a diagonal table).
+# B gate above the chunk height, a whole-chunk phase), an in-chunk B gate
+# before a block above the chunk height (an unmasked diagonal table), a
+# partner above the chunk height beside one in-chunk partner (a chunk phase
+# and one masked table), and in-chunk partners too far apart for one table
+# (two masked tables).
 BRANCH_CIRCUITS = (
     Circuit(8, (b_gate(5, 6),)),
     Circuit(8, (b_gate(1, 2), a_gate(5))),
@@ -230,28 +235,30 @@ BRANCH_CIRCUITS = (
 def test_fused_plan_reaches_every_branch(monkeypatch):
     # At L = 8 with chunks of 2^4 rows and fusion forced on: dense blocks
     # below the chunk height, with and without phases folded in, and above
-    # it; fused phases with no table, one or two, with and without partners
-    # above the chunk height.
+    # it; diagonal tables on every chunk and masked ones, one or two to a
+    # partner label; and whole-chunk phases.
     monkeypatch.setattr(gates, "FUSE_MIN_QUBITS", 1)
     monkeypatch.setattr(gates, "CHUNK_AMPLITUDES", 3 << 4)
     arr = _random_columns(8, 3, 8)
     arr /= np.linalg.norm(arr, axis=0)
-    kinds, dense, fused = set(), set(), set()
+    kinds, dense, tables = set(), set(), set()
     for circuit in (baker_circuit(8), dagger(qft_circuit(8)), qft_circuit(8)) + BRANCH_CIRCUITS:
         steps, _ = gates._plan(circuit, 4, True)
         kinds |= {op[0] for _, ops in steps for op in ops}
         dense |= {(height > 4, value[1] is not None)
                   for height, ops in steps for kind, _, _, value, _ in ops if kind == gates._DENSE}
-        fused |= {(len(tables), bool(outer)) for _, _, _, (_, tables, outer), _ in
-                  (op for _, ops in steps for op in ops if op[0] == gates._FUSED_PHASE)}
+        # The tables of one partner label are adjacent and share its mask.
+        tables |= {(mask != 0, len(list(run))) for _, ops in steps
+                   for (kind, mask), run in itertools.groupby(ops, key=lambda op: (op[0], op[4]))
+                   if kind == gates._DIAGONAL}
         got = gates._apply_circuit_array(arr.copy(), circuit)
         assert _column_error(got, _gate_loop(arr.copy(), circuit)) <= 1e-12
-    assert kinds == BLOCK_OPS
+    assert kinds == BLOCK_OPS | {gates._CHUNK_PHASE}
     # (above the chunk height, phases folded in); a window above the chunk
     # height folds nothing.
     assert dense == {(False, False), (False, True), (True, False)}
-    # (number of tables, any partner >= k)
-    assert fused == {(0, True), (1, True), (2, False), (2, True)}
+    # (masked, tables in a row)
+    assert tables == {(False, 1), (True, 1), (True, 2)}
 
 
 def test_block_plan_memory_and_structure():
@@ -303,6 +310,25 @@ def test_block_plan_matches_closed_form_columns(qubits):
             for r in range(0, dim, rows)
         ))
         assert err <= 1e-12, j
+
+
+# sha256 of the amplitude bytes of one map step on basis state 5 at L = 18,
+# pinned from the plan in which each partner label's tables were one fused
+# operation. At L = 18 a state runs in chunks of 2^16 rows, and the plan
+# holds a partner label with two masked tables.
+ITERATE_18_SHA256 = "8b235c6e8bac5464c8dea54f21b9b2368f4152b68de7476321a6baba2400e4bd"
+
+
+def test_chunked_block_plan_bytes_are_pinned():
+    qubits = 18
+    k = gates._chunk_qubits(1 << qubits, qubits)
+    assert k == 16
+    steps, _ = gates._plan(baker_circuit(qubits), k, True)
+    masks = Counter(mask for _, ops in steps for kind, _, _, _, mask in ops
+                    if kind == gates._DIAGONAL and mask)
+    assert 2 in masks.values()
+    got = iterate(basis_state(qubits, 5), 1).amplitudes
+    assert hashlib.sha256(got.tobytes()).hexdigest() == ITERATE_18_SHA256
 
 
 def _gate_matrix(g: Gate, qubits: int) -> np.ndarray:
