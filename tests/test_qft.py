@@ -107,7 +107,15 @@ def test_block_circuit_single_qubit():
 def test_block_circuit_is_block_diagonal():
     # The transform on the qubits - 1 low qubits, once per value of the top
     # one; a second argument, if given, is that count.
-    for qubits in (3, 4):
+    mat = circuit_to_matrix(qft_block_circuit(3))
+    inner = circuit_to_matrix(qft_circuit(2))
+    assert np.linalg.norm(mat - block_diag(inner, inner)) <= 1e-12
+    assert qft_block_circuit(3, 2).gates == qft_circuit(2).gates
+
+
+def test_block_circuit_many_blocks():
+    # Wider networks keep the same two-block structure.
+    for qubits in (4, 5):
         mat = circuit_to_matrix(qft_block_circuit(qubits))
         inner = circuit_to_matrix(qft_circuit(qubits - 1))
         assert np.linalg.norm(mat - block_diag(inner, inner)) <= 1e-12
