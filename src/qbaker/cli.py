@@ -7,9 +7,11 @@ Check subcommands print machine-readable JSON with residuals; every file
 output gets a run manifest, recording the parsed arguments, written next
 to it.
 The QBAKER_THREADS environment variable sets the worker count for circuit
-application (default 1); workers share out the chunks of the execution
-plan, so they apply to arrays of at least two chunks (L >= 17 for one
-state).
+application (default: one per core, when numpy's OpenBLAS can be pinned
+to one thread and its idle helpers stopped while the workers run; see
+`kernels`). Workers share out the chunks of a block plan, so they apply
+from 11 qubits on to arrays of at least two chunks (L >= 17 for one
+state); smaller circuits run in the calling thread.
 """
 from __future__ import annotations
 
@@ -35,10 +37,12 @@ MATRIX_DUMP_LIMIT_LARGE = 12
 # with numpy 2.4, as the slope between two or more sizes of the tracemalloc
 # peak of an in-process run (and of ru_maxrss where given), rounded up.
 # Bytes of `iterate` per amplitude: the input and result states and the
-# copies the execution plan makes. The JSON is streamed in slices of
-# io.JSON_SLICE_PAIRS pairs, about 1 MB whatever the size, so it adds
-# nothing per amplitude. Measured as 41 at L = 16-18 and 48 at L = 18-20
-# (32 by ru_maxrss, L = 18 and 20), to a file and to stdout alike.
+# copies the execution plan makes. The map runs in place on the state just
+# read or built, so the peak holds that state and the plan's relabeled
+# copy. The JSON is streamed in slices of io.JSON_SLICE_PAIRS pairs, about
+# 1 MB whatever the size, so it adds nothing per amplitude. Measured from a
+# basis state as 32 at L = 16-18 and at L = 18-20 (32 by ru_maxrss in a
+# fresh process, L = 18 and 20), to a file and to stdout alike.
 ITERATE_AMPLITUDE_BYTES = 64
 # Bytes of `baker --form matrix` per entry: building the dense matrix, then
 # the matrix while its JSON is streamed. Measured as 68 (68 by ru_maxrss)
@@ -197,7 +201,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
             raise DomainError(f"state file is not normalized (norm {norm!r})")
     else:
         state = basis_state(args.qubits, args.basis)
-    result = iterate(state, args.steps)
+    result = iterate(state, args.steps, copy=False)
     _emit(itertools.chain(io.state_json_chunks(result), ("\n",)), args)
     return 0
 

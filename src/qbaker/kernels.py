@@ -13,18 +13,28 @@ labels in place of the per-gate kernels; they agree with the gates to
 1e-12.)
 
 The kernels are serial, apart from the BLAS threads of the matrix
-products in `dense_block`. Threads come from the execution plan in `gates`,
-which calls the kernels on chunks of consecutive rows and hands ranges of
-chunks to a shared thread pool (`run_chunks`). Every element is written
-exactly once, by the same formula from the same inputs, so results are
-independent of the thread count.
+products in `dense_block`. Threads come from the execution plan in `gates`:
+a block plan hands ranges of the chunks of each of its steps to a shared
+thread pool (`run_chunks`), one worker per core by default. Every element
+is written exactly once, by the same formula from the same inputs, so
+results are independent of the thread count.
+
+While the workers run, numpy's bundled OpenBLAS is pinned to one thread,
+so that each worker's products do not start BLAS threads of their own.
+Its idle helper threads are stopped too: after a threaded BLAS call they
+busy-wait for about 0.13 s of CPU, which would take the second worker's
+core. The thread count found is restored when the plan ends, which starts
+the helpers again, so they are stopped once more; OpenBLAS restarts them
+on its next threaded call. A process that runs other threads (which may
+be inside BLAS) gets the pin without the stops.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -33,9 +43,34 @@ from .errors import DomainError
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _lock = threading.Lock()
-_num_threads = 1
+_num_threads: int | None = None   # None until set or first read: the default
 _pool: ThreadPoolExecutor | None = None
 _pid = os.getpid()  # the process that made _lock and _pool
+_WORKER_PREFIX = "qbaker-kernels"
+# OpenBLAS's set, get and helper-shutdown functions, as loaded by numpy.
+_BLAS_SYMBOLS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
+                 "blas_thread_shutdown_")
+_blas: tuple | None = None        # the three functions, () if not found, None until looked up
+
+
+def _openblas() -> tuple:
+    """The functions named in _BLAS_SYMBOLS from numpy's bundled OpenBLAS,
+    or () when it does not export all three."""
+    global _blas
+    if _blas is None:
+        _blas = ()
+        libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        names = os.listdir(libdir) if os.path.isdir(libdir) else []
+        for name in [n for n in names if "openblas" in n]:
+            lib = ctypes.CDLL(os.path.join(libdir, name))
+            if all(hasattr(lib, symbol) for symbol in _BLAS_SYMBOLS):
+                set_threads, get_threads, shutdown = (getattr(lib, s) for s in _BLAS_SYMBOLS)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes = shutdown.argtypes = []
+                get_threads.restype = shutdown.restype = ctypes.c_int
+                _blas = (set_threads, get_threads, shutdown)
+                break
+    return _blas
 
 
 def _renew_after_fork() -> None:
@@ -49,52 +84,84 @@ def _renew_after_fork() -> None:
 
 
 def set_num_threads(n: int) -> None:
-    """Set the worker count for circuit application (default 1).
+    """Set the worker count for circuit application.
 
-    Workers share out the chunks of the execution plan, so they apply to
-    arrays of at least two chunks.
+    The default is one worker per core this process may run on, when
+    numpy's OpenBLAS can be pinned and its helpers stopped (see the module
+    docstring), and 1 otherwise. Workers share out the chunks of the steps
+    of a block plan (from `gates.FUSE_MIN_QUBITS` on), so they apply to
+    arrays of at least two chunks; per-gate plans run in the calling thread.
     """
     global _num_threads, _pool
     if n < 1:
         raise DomainError(f"thread count must be >= 1, got {n}")
     _renew_after_fork()
     with _lock:
-        if n != _num_threads and _pool is not None:
+        if _pool is not None and n != _num_threads:
             _pool.shutdown(wait=True)
             _pool = None
         _num_threads = n
 
 
 def get_num_threads() -> int:
+    global _num_threads
+    if _num_threads is None:
+        found = _openblas() and hasattr(os, "sched_getaffinity")
+        _num_threads = len(os.sched_getaffinity(0)) if found else 1
     return _num_threads
 
 
-def _get_pool(n: int) -> ThreadPoolExecutor:
+def _stop_blas_helpers(blas: tuple) -> None:
+    # Stopping them while another thread is inside threaded BLAS can hang
+    # that thread, so it is done only when no thread but the caller and the
+    # pool's idle workers is alive.
+    me = threading.current_thread()
+    if all(t is me or t.name.startswith(_WORKER_PREFIX) for t in threading.enumerate()):
+        blas[2]()
+
+
+def run_chunks(steps) -> None:
+    """For each (chunk_fn, nchunks) of `steps` in turn, call chunk_fn(c0, c1)
+    over the chunk indices [0, nchunks).
+
+    With n > 1 workers, a step of two or more chunks is cut into at most n
+    contiguous ranges, one per worker, while OpenBLAS runs one thread (see
+    the module docstring); a step of one chunk runs in the calling thread.
+    This is the only code that submits to the pool, and chunk_fn calls
+    serial kernels, so no worker ever waits on the pool.
+    """
     global _pool
+    n = get_num_threads()
+    if n <= 1 or all(nchunks < 2 for _, nchunks in steps):
+        for chunk_fn, nchunks in steps:
+            chunk_fn(0, nchunks)
+        return
+    blas = _openblas()
     _renew_after_fork()
+    # One plan at a time holds the pool and the pin, so no plan restores
+    # another's pin.
     with _lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=n)
-        return _pool
-
-
-def run_chunks(chunk_fn, nchunks: int) -> None:
-    """Call chunk_fn(c0, c1) over the chunk indices [0, nchunks).
-
-    With n > 1 workers and at least n chunks, each worker gets one
-    contiguous range of chunks. This is the only code that submits to the
-    pool, and chunk_fn calls serial kernels, so no worker ever waits on
-    the pool.
-    """
-    n = _num_threads
-    if n <= 1 or nchunks < n:
-        chunk_fn(0, nchunks)
-        return
-    pool = _get_pool(n)
-    step = (nchunks + n - 1) // n
-    futures = [pool.submit(chunk_fn, c0, min(c0 + step, nchunks)) for c0 in range(0, nchunks, step)]
-    for f in futures:
-        f.result()
+            _pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix=_WORKER_PREFIX)
+        found = blas and blas[1]()
+        try:
+            if blas:
+                blas[0](1)
+                _stop_blas_helpers(blas)
+            for chunk_fn, nchunks in steps:
+                if nchunks < 2:
+                    chunk_fn(0, nchunks)
+                    continue
+                step = -(-nchunks // n)
+                futures = [_pool.submit(chunk_fn, c0, min(c0 + step, nchunks))
+                           for c0 in range(0, nchunks, step)]
+                wait(futures)
+                for f in futures:
+                    f.result()
+        finally:
+            if blas:
+                blas[0](found)
+                _stop_blas_helpers(blas)   # setting the count starts them again
 
 
 def _check_label(qubits: int, m: int) -> None:

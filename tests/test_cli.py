@@ -490,11 +490,12 @@ def test_formfactor_csv(tmp_path, capsys):
 def test_threads_env_var(tmp_path, capsys, monkeypatch):
     import qbaker
 
+    threads = qbaker.get_num_threads()
     monkeypatch.setenv("QBAKER_THREADS", "2")
     code, out, _ = run(capsys, "qft-check", "--qubits", "2")
     assert code == 0
     assert qbaker.get_num_threads() == 2
-    qbaker.set_num_threads(1)
+    qbaker.set_num_threads(threads)
     monkeypatch.setenv("QBAKER_THREADS", "zero")
     code, _, err = run(capsys, "qft-check", "--qubits", "2")
     assert code == 1 and "QBAKER_THREADS" in err

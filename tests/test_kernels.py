@@ -1,13 +1,25 @@
 import gc
+import hashlib
 import importlib
 import multiprocessing
 import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from qbaker import DomainError, apply_circuit, kernels, random_state, set_num_threads
+from qbaker import (
+    DomainError,
+    EchoConfig,
+    apply_circuit,
+    circuit_to_matrix,
+    iterate,
+    kernels,
+    loschmidt_echo,
+    random_state,
+    set_num_threads,
+)
 from qbaker.baker import baker_circuit
 from qbaker.kernels import (
     cond_phase,
@@ -160,9 +172,10 @@ def test_phase_on_one_needs_one_angle_per_column():
 
 
 def test_thread_count_validation():
+    threads = get_num_threads()
     with pytest.raises(DomainError):
         set_num_threads(0)
-    assert get_num_threads() == 1
+    assert get_num_threads() == threads
 
 
 def _threaded_application() -> None:
@@ -175,6 +188,7 @@ def _threaded_application() -> None:
 def test_threaded_kernels_work_in_a_forked_child():
     # The parent's pool threads do not survive a fork; the child must start
     # its own pool instead of waiting on the inherited one.
+    threads = get_num_threads()
     try:
         set_num_threads(2)
         _threaded_application()
@@ -185,7 +199,7 @@ def test_threaded_kernels_work_in_a_forked_child():
             child.kill()
             child.join()
     finally:
-        set_num_threads(1)
+        set_num_threads(threads)
     assert child.exitcode == 0
 
 
@@ -223,11 +237,139 @@ def test_threaded_application_bitwise_identical():
     # four chunks, one per worker.
     psi = random_state(18, 21)
     circuit = baker_circuit(18)
-    single = apply_circuit(psi, circuit)
+    threads = get_num_threads()
     try:
+        set_num_threads(1)
+        single = apply_circuit(psi, circuit)
         set_num_threads(4)
         threaded = apply_circuit(psi, circuit)
         assert kernels._pool is not None
     finally:
-        set_num_threads(1)
+        set_num_threads(threads)
     assert np.array_equal(single.amplitudes, threaded.amplitudes)
+
+
+@pytest.fixture
+def two_workers():
+    # Starts from no pool: a pool exists only while the count is above 1.
+    threads = get_num_threads()
+    set_num_threads(1)
+    set_num_threads(2)
+    yield
+    set_num_threads(threads)
+
+
+class BlasRecorder:
+    """Stands in for OpenBLAS's set, get and helper-shutdown functions."""
+
+    def __init__(self, monkeypatch, threads: int):
+        self.threads = threads
+        self.calls = []
+        monkeypatch.setattr(kernels, "_blas", (self.set, self.get, self.shutdown))
+
+    def set(self, n):
+        self.calls.append(("set", n))
+        self.threads = n
+
+    def get(self):
+        self.calls.append(("get",))
+        return self.threads
+
+    def shutdown(self):
+        self.calls.append(("shutdown",))
+        return 0
+
+
+def _block_plan_step() -> np.ndarray:
+    # L = 17 is two chunks of a block plan.
+    return apply_circuit(random_state(17, 4), baker_circuit(17)).amplitudes
+
+
+def test_block_plan_pins_stops_and_restores_blas(two_workers, monkeypatch):
+    blas = BlasRecorder(monkeypatch, 3)
+    _block_plan_step()
+    assert blas.calls == [("get",), ("set", 1), ("shutdown",), ("set", 3), ("shutdown",)]
+    assert kernels._pool is not None
+
+
+def test_block_plan_restores_blas_when_a_chunk_raises(two_workers, monkeypatch):
+    blas = BlasRecorder(monkeypatch, 3)
+
+    def broken(*args):
+        raise RuntimeError("chunk failed")
+
+    monkeypatch.setattr(kernels, "dense_block", broken)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _block_plan_step()
+    assert blas.calls[-2:] == [("set", 3), ("shutdown",)] and blas.threads == 3
+
+
+def test_block_plan_skips_the_shutdown_beside_a_foreign_thread(two_workers, monkeypatch):
+    # Stopping OpenBLAS's helpers could hang a thread that is inside BLAS.
+    blas = BlasRecorder(monkeypatch, 2)
+    release = threading.Event()
+    foreign = threading.Thread(target=release.wait)
+    foreign.start()
+    try:
+        _block_plan_step()
+    finally:
+        release.set()
+        foreign.join(timeout=30)
+    assert not foreign.is_alive()
+    assert blas.calls == [("get",), ("set", 1), ("set", 2)]
+
+
+def test_concurrent_block_plans_restore_the_count_found(two_workers, monkeypatch):
+    # Each plan restores what it found; without one pin at a time, a plan
+    # that found another's pin would leave it in place.
+    blas = BlasRecorder(monkeypatch, 3)
+    callers = [threading.Thread(target=_block_plan_step) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert blas.calls.count(("get",)) == 3 and blas.threads == 3
+
+
+def _random_state_digest() -> str:
+    # random_state normalizes with np.linalg.norm, whose threaded dot
+    # product rounds by the BLAS thread count.
+    return hashlib.sha256(random_state(14, 99).amplitudes.tobytes()).hexdigest()
+
+
+def test_block_plan_leaves_blas_as_it_found_it(two_workers):
+    blas = kernels._openblas()
+    if not blas:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with the thread functions")
+    # Two BLAS threads, so that a pin left in place shows whatever ran before.
+    found = blas[1]()
+    blas[0](2)
+    try:
+        before = (blas[1](), _random_state_digest())
+        _block_plan_step()
+        after = (blas[1](), _random_state_digest())
+    finally:
+        blas[0](found)
+    assert kernels._pool is not None
+    assert after == before
+
+
+def test_per_gate_plans_stay_in_the_calling_thread(two_workers):
+    circuit_to_matrix(baker_circuit(9))
+    loschmidt_echo(EchoConfig(10, 2, 0.05, 3, 1))
+    assert kernels._pool is None
+
+
+def test_default_is_one_worker_without_the_blas_functions(two_workers, monkeypatch):
+    expect = iterate(random_state(18, 5), 1).amplitudes
+    monkeypatch.setattr(kernels, "_BLAS_SYMBOLS", kernels._BLAS_SYMBOLS + ("no_such_symbol",))
+    monkeypatch.setattr(kernels, "_blas", None)
+    monkeypatch.setattr(kernels, "_num_threads", None)
+    assert get_num_threads() == 1 and kernels._openblas() == ()
+    assert np.array_equal(iterate(random_state(18, 5), 1).amplitudes, expect)

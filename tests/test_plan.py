@@ -476,17 +476,23 @@ def _matches_loop(got: np.ndarray, psi: np.ndarray, circuit) -> bool:
 
 
 def _two_threads_match_the_loop(qubits: int) -> None:
+    # One worker runs zgemm with the default BLAS thread count, two workers
+    # with one BLAS thread each. Only block plans reach the pool.
     psi = random_state(qubits, 7).amplitudes
     circuit = baker_circuit(qubits)
+    set_num_threads(1)
     single = gates._apply_circuit_array(psi.copy(), circuit)
     set_num_threads(2)
     threaded = gates._apply_circuit_array(psi.copy(), circuit)
-    sys.exit(0 if np.array_equal(threaded, single) and _matches_loop(threaded, psi, circuit) else 3)
+    pooled = kernels._pool is not None
+    ok = np.array_equal(threaded, single) and _matches_loop(threaded, psi, circuit)
+    sys.exit(0 if ok and pooled == (qubits >= gates.FUSE_MIN_QUBITS) else 3)
 
 
 def test_plan_with_two_threads_matches_one_thread(monkeypatch):
     # Run in a child so that a deadlocked pool fails the test instead of
-    # hanging the run. Without fusion the threaded plan keeps the loop's bits.
+    # hanging the run. Without fusion the plan is per-gate, keeps the loop's
+    # bits and runs in the calling thread.
     monkeypatch.setattr(gates, "FUSE_MIN_QUBITS", 21)
     assert _in_child(_two_threads_match_the_loop, 18) == 0
 
