@@ -7,11 +7,12 @@ Check subcommands print machine-readable JSON with residuals; every file
 output gets a run manifest, recording the parsed arguments, written next
 to it.
 The QBAKER_THREADS environment variable sets the worker count for circuit
-application (default: one per core, when numpy's OpenBLAS can be pinned
-to one thread and its idle helpers stopped while the workers run; see
-`kernels`). Workers share out the chunks of a block plan, so they apply
-from 11 qubits on to arrays of at least two chunks (L >= 17 for one
-state); smaller circuits run in the calling thread.
+application (default: one per core, capped by a cgroup CPU quota, when
+numpy's OpenBLAS can be pinned to one thread and its idle helpers stopped
+while the workers run; see `kernels`). Workers share out the chunks of a
+block plan, so they apply from 11 qubits on to arrays of at least two
+chunks (L >= 17 for one state); smaller circuits, and plans called while
+other threads are alive, run in the calling thread.
 """
 from __future__ import annotations
 

@@ -15,9 +15,11 @@ labels in place of the per-gate kernels; they agree with the gates to
 The kernels are serial, apart from the BLAS threads of the matrix
 products in `dense_block`. Threads come from the execution plan in `gates`:
 a block plan hands ranges of the chunks of each of its steps to a shared
-thread pool (`run_chunks`), one worker per core by default. Every element
-is written exactly once, by the same formula from the same inputs, so
-results are independent of the thread count.
+thread pool (`run_chunks`), by default one worker per core this process
+may run on, capped by a cgroup v2 CPU quota (`/sys/fs/cgroup/cpu.max`).
+Per-gate plans run in the calling thread. Every element is written
+exactly once, by the same formula from the same inputs, so results are
+independent of the thread count.
 
 While the workers run, numpy's bundled OpenBLAS is pinned to one thread,
 so that each worker's products do not start BLAS threads of their own.
@@ -25,8 +27,9 @@ Its idle helper threads are stopped too: after a threaded BLAS call they
 busy-wait for about 0.13 s of CPU, which would take the second worker's
 core. The thread count found is restored when the plan ends, which starts
 the helpers again, so they are stopped once more; OpenBLAS restarts them
-on its next threaded call. A process that runs other threads (which may
-be inside BLAS) gets the pin without the stops.
+on its next threaded call. The pin and the stops act on the whole
+process, so a plan called while any other thread is alive (one that may
+be inside BLAS) runs in the calling thread, with neither.
 """
 from __future__ import annotations
 
@@ -51,6 +54,7 @@ _WORKER_PREFIX = "qbaker-kernels"
 _BLAS_SYMBOLS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
                  "blas_thread_shutdown_")
 _blas: tuple | None = None        # the three functions, () if not found, None until looked up
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 def _openblas() -> tuple:
@@ -86,9 +90,9 @@ def _renew_after_fork() -> None:
 def set_num_threads(n: int) -> None:
     """Set the worker count for circuit application.
 
-    The default is one worker per core this process may run on, when
-    numpy's OpenBLAS can be pinned and its helpers stopped (see the module
-    docstring), and 1 otherwise. Workers share out the chunks of the steps
+    The default is one worker per core this process may run on (capped by
+    a cgroup v2 CPU quota), when numpy's OpenBLAS can be pinned and its
+    helpers stopped (see the module docstring), and 1 otherwise. Workers share out the chunks of the steps
     of a block plan (from `gates.FUSE_MIN_QUBITS` on), so they apply to
     arrays of at least two chunks; per-gate plans run in the calling thread.
     """
@@ -106,62 +110,76 @@ def set_num_threads(n: int) -> None:
 def get_num_threads() -> int:
     global _num_threads
     if _num_threads is None:
-        found = _openblas() and hasattr(os, "sched_getaffinity")
-        _num_threads = len(os.sched_getaffinity(0)) if found else 1
+        _num_threads = _cores() if _openblas() and hasattr(os, "sched_getaffinity") else 1
     return _num_threads
 
 
-def _stop_blas_helpers(blas: tuple) -> None:
-    # Stopping them while another thread is inside threaded BLAS can hang
-    # that thread, so it is done only when no thread but the caller and the
-    # pool's idle workers is alive.
-    me = threading.current_thread()
-    if all(t is me or t.name.startswith(_WORKER_PREFIX) for t in threading.enumerate()):
-        blas[2]()
+def _cores() -> int:
+    # The cores this process may run on, capped by a cgroup v2 CPU quota.
+    cores = len(os.sched_getaffinity(0))
+    try:
+        with open(_CPU_MAX) as f:
+            quota, period = f.read().split()[:2]
+        if quota != "max":
+            cores = min(cores, max(1, -(-int(quota) // int(period))))
+    except (OSError, ValueError):
+        pass
+    return cores
 
 
-def run_chunks(steps) -> None:
-    """For each (chunk_fn, nchunks) of `steps` in turn, call chunk_fn(c0, c1)
-    over the chunk indices [0, nchunks).
-
-    With n > 1 workers, a step of two or more chunks is cut into at most n
-    contiguous ranges, one per worker, while OpenBLAS runs one thread (see
-    the module docstring); a step of one chunk runs in the calling thread.
-    This is the only code that submits to the pool, and chunk_fn calls
-    serial kernels, so no worker ever waits on the pool.
-    """
+def _get_pool(n: int) -> ThreadPoolExecutor:
     global _pool
-    n = get_num_threads()
-    if n <= 1 or all(nchunks < 2 for _, nchunks in steps):
-        for chunk_fn, nchunks in steps:
-            chunk_fn(0, nchunks)
-        return
-    blas = _openblas()
     _renew_after_fork()
-    # One plan at a time holds the pool and the pin, so no plan restores
-    # another's pin.
     with _lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix=_WORKER_PREFIX)
-        found = blas and blas[1]()
-        try:
-            if blas:
-                blas[0](1)
-                _stop_blas_helpers(blas)
-            for chunk_fn, nchunks in steps:
-                if nchunks < 2:
-                    chunk_fn(0, nchunks)
-                    continue
-                step = -(-nchunks // n)
-                futures = [_pool.submit(chunk_fn, c0, min(c0 + step, nchunks))
-                           for c0 in range(0, nchunks, step)]
-                wait(futures)
-                for f in futures:
-                    f.result()
-        finally:
-            if blas:
-                blas[0](found)
-                _stop_blas_helpers(blas)   # setting the count starts them again
+        return _pool
+
+
+def _alone() -> bool:
+    # True when no thread but the caller and the pool's workers is alive, so
+    # that no other thread can be inside BLAS while it is pinned or stopped.
+    me = threading.current_thread()
+    return all(t is me or t.name.startswith(_WORKER_PREFIX) for t in threading.enumerate())
+
+
+def run_chunks(steps, pooled: bool) -> None:
+    """For each (chunk_fn, nchunks) of `steps` in turn, call chunk_fn(c0, c1)
+    over the chunk indices [0, nchunks).
+
+    The steps run on the pool when `pooled` (a block plan), there are n > 1
+    workers, a step has two or more chunks and no thread but the caller and
+    the pool's workers is alive; OpenBLAS then runs one thread (see the
+    module docstring), each step of two or more chunks is cut into at most
+    n contiguous ranges, one per worker, and a step of one chunk runs in the
+    calling thread. Otherwise every step runs in the calling thread. This
+    is the only code that submits to the pool, and chunk_fn calls serial
+    kernels, so no worker ever waits on the pool.
+    """
+    n = get_num_threads()
+    pool = None
+    if pooled and n > 1 and any(nchunks > 1 for _, nchunks in steps) and _alone():
+        pool = _get_pool(n)
+    blas = _openblas() if pool else ()
+    found = blas and blas[1]()
+    try:
+        if blas:
+            blas[0](1)
+            blas[2]()
+        for chunk_fn, nchunks in steps:
+            if pool is None or nchunks < 2:
+                chunk_fn(0, nchunks)
+                continue
+            step = -(-nchunks // n)
+            futures = [pool.submit(chunk_fn, c0, min(c0 + step, nchunks))
+                       for c0 in range(0, nchunks, step)]
+            wait(futures)
+            for f in futures:
+                f.result()
+    finally:
+        if blas:
+            blas[0](found)
+            blas[2]()   # setting the count starts them again
 
 
 def _check_label(qubits: int, m: int) -> None:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib
 import multiprocessing
+import os
 import sys
 import threading
 import weakref
@@ -304,37 +305,51 @@ def test_block_plan_restores_blas_when_a_chunk_raises(two_workers, monkeypatch):
     assert blas.calls[-2:] == [("set", 3), ("shutdown",)] and blas.threads == 3
 
 
-def test_block_plan_skips_the_shutdown_beside_a_foreign_thread(two_workers, monkeypatch):
-    # Stopping OpenBLAS's helpers could hang a thread that is inside BLAS.
+def test_block_plan_runs_serially_beside_a_foreign_thread(two_workers, monkeypatch):
+    # The pin and the stops act on the whole process: a thread that is
+    # inside BLAS would get one-thread rounding, or hang.
     blas = BlasRecorder(monkeypatch, 2)
     release = threading.Event()
     foreign = threading.Thread(target=release.wait)
     foreign.start()
     try:
-        _block_plan_step()
+        got = _block_plan_step()
     finally:
         release.set()
         foreign.join(timeout=30)
     assert not foreign.is_alive()
-    assert blas.calls == [("get",), ("set", 1), ("set", 2)]
+    assert blas.calls == [] and kernels._pool is None
+    assert np.array_equal(got, _block_plan_step())
 
 
-def test_concurrent_block_plans_restore_the_count_found(two_workers, monkeypatch):
-    # Each plan restores what it found; without one pin at a time, a plan
-    # that found another's pin would leave it in place.
+def test_concurrent_block_plans_run_in_their_callers(two_workers, monkeypatch):
+    # Each caller sees the others, so none pins OpenBLAS or waits on a lock.
     blas = BlasRecorder(monkeypatch, 3)
-    callers = [threading.Thread(target=_block_plan_step) for _ in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+    results = [None] * 3
+
+    def call(i):
+        results[i] = _block_plan_step()
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=60)
     assert not any(t.is_alive() for t in callers)
-    assert blas.calls.count(("get",)) == 3 and blas.threads == 3
+    assert blas.calls == [] and kernels._pool is None
+    assert all(np.array_equal(r, _block_plan_step()) for r in results)
+
+
+def test_default_workers_follow_the_cgroup_quota(monkeypatch, tmp_path):
+    cores = len(os.sched_getaffinity(0))
+    cpu_max = tmp_path / "cpu.max"
+    monkeypatch.setattr(kernels, "_CPU_MAX", str(cpu_max))
+    for text, want in [("max 100000\n", cores), ("50000 100000\n", 1),
+                       (f"{100000 * cores + 1} 100000\n", cores), ("", cores)]:
+        cpu_max.write_text(text)
+        assert kernels._cores() == want
+    cpu_max.unlink()
+    assert kernels._cores() == cores
 
 
 def _random_state_digest() -> str:
