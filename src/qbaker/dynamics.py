@@ -225,8 +225,10 @@ class EchoConfig:
             raise DomainError(f"qubit count must be >= 1, got {self.qubits}")
         if self.steps < 0:
             raise DomainError(f"step count must be >= 0, got {self.steps}")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise DomainError(f"perturbation strength must be finite and >= 0, got {self.delta}")
+        # Kicks are drawn from [-delta, delta], a range of width 2 * delta.
+        if not (self.delta >= 0.0 and math.isfinite(2.0 * self.delta)):
+            raise DomainError(
+                f"perturbation strength must be >= 0 with 2 * delta finite, got {self.delta}")
         if self.ensemble < 1:
             raise DomainError(f"ensemble size must be >= 1, got {self.ensemble}")
         if not 0 <= self.seed < 2**64:

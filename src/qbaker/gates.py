@@ -31,9 +31,10 @@ alone: each block is a diagonal of B gates, applied as phase tables over
 bit spans, phases folded into the block's unitary and whole-chunk phases,
 then one 2^4 x 2^4 unitary on a window of 4 adjacent labels,
 applied as one matrix product per chunk (or, above the chunk height, per
-slab of the whole array). No A gate is then applied on its own. The
-result is deterministic for a given array shape and thread count, and
-agrees with the gate loop, and each column with a lone state, to 1e-12.
+slab of the whole array, the slabs shared out among the kernel workers
+like chunks). No A gate is then applied on its own. The result is
+deterministic for a given array shape and thread count, and agrees with
+the gate loop, and each column with a lone state, to 1e-12.
 """
 from __future__ import annotations
 
@@ -486,7 +487,7 @@ def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
             if kind == _DENSE:
                 unitary, phases = value
                 if scratch is None:
-                    scratch = np.empty(max(CHUNK_AMPLITUDES, len(unitary)), dtype=np.complex128)
+                    scratch = np.empty(_room(len(unitary)), dtype=np.complex128)
                 if phases is not None:
                     unitary = unitary * _fold_phases(c, *phases)
                 kernels.dense_block(chunk, k, m, unitary, scratch)
@@ -504,6 +505,25 @@ def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
                 chunk *= value  # _CHUNK_PHASE
 
 
+def _apply_slabs(arr: np.ndarray, unitary: np.ndarray, m: int, height: int, slabs: int,
+                 u0: int, u1: int) -> None:
+    # A window step above the chunk height, in work units u0..u1: unit u is
+    # slab u % slabs of chunk u // slabs of 2^height rows, one dense_block
+    # call each, through one scratch per call of this function.
+    rows = 1 << height
+    scratch = np.empty(_room(len(unitary)), dtype=np.complex128)
+    for u in range(u0, u1):
+        c, s = divmod(u, slabs)
+        kernels.dense_block(arr[c * rows:(c + 1) * rows], height, m, unitary, scratch,
+                            range(s, s + 1))
+
+
+def _room(dim: int) -> int:
+    # Amplitudes in a dense block's scratch: one chunk, or one row of the
+    # dim x dim unitary if that is larger.
+    return max(CHUNK_AMPLITUDES, dim)
+
+
 def _apply_circuit_array(arr: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply the circuit to the leading axis of `arr` through its cached
     plan; may return a new array."""
@@ -516,8 +536,19 @@ def _run_plan(arr: np.ndarray, circuit: Circuit, fuse: bool) -> np.ndarray:
     qubits = circuit.qubits
     k = _chunk_qubits(arr.size, qubits)
     steps, relabel = _plan(circuit, k, fuse)
-    runs = [(functools.partial(_apply_run, arr, ops, height), 1 << (qubits - height))
-            for height, ops in steps]
+    runs = []
+    for height, ops in steps:
+        chunks = 1 << (qubits - height)
+        if height > k and fuse:
+            # A window above k, the step's one op, is shared out by slab, so
+            # that a step of one chunk keeps every worker busy too.
+            (_, m, _, (unitary, _), _), = ops
+            size = arr.size >> (qubits - height)
+            slabs = kernels.dense_slabs(size, height, m, len(unitary), _room(len(unitary)))
+            runs.append((functools.partial(_apply_slabs, arr, unitary, m, height, slabs),
+                         chunks * slabs))
+        else:
+            runs.append((functools.partial(_apply_run, arr, ops, height), chunks))
     # Per-gate plans stay in the calling thread. On the pool they cut the
     # L = 9 spectrum's time by 7% but raised its peak RSS by 7 MiB, the
     # freed chunk temporaries that the workers' malloc arenas keep.

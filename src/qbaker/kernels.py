@@ -14,12 +14,14 @@ labels in place of the per-gate kernels; they agree with the gates to
 
 The kernels are serial, apart from the BLAS threads of the matrix
 products in `dense_block`. Threads come from the execution plan in `gates`:
-a block plan hands ranges of the chunks of each of its steps to a shared
-thread pool (`run_chunks`), by default one worker per core this process
-may run on, capped by a cgroup v2 CPU quota (`/sys/fs/cgroup/cpu.max`).
-Per-gate plans run in the calling thread. Every element is written
-exactly once, by the same formula from the same inputs, so results are
-independent of the thread count.
+a block plan hands ranges of the work units of each of its steps to a
+shared thread pool (`run_chunks`), by default one worker per core this
+process may run on, capped by a cgroup v2 CPU quota
+(`/sys/fs/cgroup/cpu.max`). A unit is a chunk, or, in a step that applies
+a window above the chunk height, one `dense_block` slab of a chunk (see
+`dense_slabs`). Per-gate plans run in the calling thread. Every element
+is written exactly once, by the same formula from the same inputs, so
+results are independent of the thread count.
 
 While the workers run, numpy's bundled OpenBLAS is pinned to one thread,
 so that each worker's products do not start BLAS threads of their own.
@@ -92,9 +94,10 @@ def set_num_threads(n: int) -> None:
 
     The default is one worker per core this process may run on (capped by
     a cgroup v2 CPU quota), when numpy's OpenBLAS can be pinned and its
-    helpers stopped (see the module docstring), and 1 otherwise. Workers share out the chunks of the steps
-    of a block plan (from `gates.FUSE_MIN_QUBITS` on), so they apply to
-    arrays of at least two chunks; per-gate plans run in the calling thread.
+    helpers stopped (see the module docstring), and 1 otherwise. Workers
+    share out the chunks, or slabs, of the steps of a block plan (from
+    `gates.FUSE_MIN_QUBITS` on), so they apply to arrays of at least two
+    chunks or slabs; per-gate plans run in the calling thread.
     """
     global _num_threads, _pool
     if n < 1:
@@ -144,21 +147,21 @@ def _alone() -> bool:
 
 
 def run_chunks(steps, pooled: bool) -> None:
-    """For each (chunk_fn, nchunks) of `steps` in turn, call chunk_fn(c0, c1)
-    over the chunk indices [0, nchunks).
+    """For each (unit_fn, units) of `steps` in turn, call unit_fn(u0, u1)
+    over the work unit indices [0, units): chunks, or chunk slabs.
 
     The steps run on the pool when `pooled` (a block plan), there are n > 1
-    workers, a step has two or more chunks and no thread but the caller and
+    workers, a step has two or more units and no thread but the caller and
     the pool's workers is alive; OpenBLAS then runs one thread (see the
-    module docstring), each step of two or more chunks is cut into at most
-    n contiguous ranges, one per worker, and a step of one chunk runs in the
+    module docstring), each step of two or more units is cut into at most
+    n contiguous ranges, one per worker, and a step of one unit runs in the
     calling thread. Otherwise every step runs in the calling thread. This
-    is the only code that submits to the pool, and chunk_fn calls serial
+    is the only code that submits to the pool, and unit_fn calls serial
     kernels, so no worker ever waits on the pool.
     """
     n = get_num_threads()
     pool = None
-    if pooled and n > 1 and any(nchunks > 1 for _, nchunks in steps) and _alone():
+    if pooled and n > 1 and any(units > 1 for _, units in steps) and _alone():
         pool = _get_pool(n)
     blas = _openblas() if pool else ()
     found = blas and blas[1]()
@@ -166,13 +169,13 @@ def run_chunks(steps, pooled: bool) -> None:
         if blas:
             blas[0](1)
             blas[2]()
-        for chunk_fn, nchunks in steps:
-            if pool is None or nchunks < 2:
-                chunk_fn(0, nchunks)
+        for unit_fn, units in steps:
+            if pool is None or units < 2:
+                unit_fn(0, units)
                 continue
-            step = -(-nchunks // n)
-            futures = [pool.submit(chunk_fn, c0, min(c0 + step, nchunks))
-                       for c0 in range(0, nchunks, step)]
+            step = -(-units // n)
+            futures = [pool.submit(unit_fn, u0, min(u0 + step, units))
+                       for u0 in range(0, units, step)]
             wait(futures)
             for f in futures:
                 f.result()
@@ -258,37 +261,48 @@ def diagonal(arr: np.ndarray, qubits: int, m: int, table: np.ndarray) -> None:
 
 
 def dense_block(arr: np.ndarray, qubits: int, m: int, unitary: np.ndarray,
-                scratch: np.ndarray) -> None:
+                scratch: np.ndarray, slabs: range | None = None) -> None:
     """Apply the 2^w x 2^w matrix `unitary` to bits [m, m + w) of the index,
     with bit m + j as bit j of the matrix index.
 
     The array is taken as (high bits, 2^w, low bits) and multiplied in slabs
     of at most len(scratch) >= 2^w amplitudes, each written to the complex
     `scratch` buffer and copied back, so no temporary grows with the array.
-    For m = 0 on a one-column array each slab is one contiguous
-    (rows, 2^w) @ unitary.T.
+    `slabs` picks slabs by their index in [0, dense_slabs(...)), low bits
+    fastest; None is every slab. For m = 0 on a one-column array each slab
+    is one contiguous (rows, 2^w) @ unitary.T.
     """
     dim = len(unitary)
     _check_label(qubits, m + dim.bit_length() - 2)   # the top bit, m + w - 1
-    lo = arr.size >> (qubits - m)
-    if lo == 1:
-        rows = arr.reshape(-1, dim)
-        step = len(scratch) // dim
-        for r in range(0, len(rows), step):
-            x = rows[r:r + step]
-            out = scratch[:x.size].reshape(x.shape)
+    lo, hs, ls, nl = _slab_grid(arr.size, qubits, m, dim, len(scratch))
+    view = arr.reshape(-1, dim) if lo == 1 else arr.reshape(-1, dim, lo)
+    if slabs is None:
+        slabs = range(dense_slabs(arr.size, qubits, m, dim, len(scratch)))
+    for i in slabs:
+        h, l = i // nl * hs, i % nl * ls
+        x = view[h:h + hs] if lo == 1 else view[h:h + hs, :, l:l + ls]
+        out = scratch[:x.size].reshape(x.shape)
+        if lo == 1:
             np.matmul(x, unitary.T, out=out)
-            x[...] = out
-        return
-    view = arr.reshape(-1, dim, lo)
-    hs = max(1, len(scratch) // (dim * lo))
-    ls = min(lo, len(scratch) // dim)
-    for h in range(0, len(view), hs):
-        for l in range(0, lo, ls):
-            x = view[h:h + hs, :, l:l + ls]
-            out = scratch[:x.size].reshape(x.shape)
+        else:
             np.matmul(unitary, x, out=out)
-            x[...] = out
+        x[...] = out
+
+
+def dense_slabs(size: int, qubits: int, m: int, dim: int, room: int) -> int:
+    """How many slabs `dense_block` cuts an array of `size` amplitudes into,
+    for a dim x dim unitary on bits from m and a scratch of `room`."""
+    lo, hs, _, nl = _slab_grid(size, qubits, m, dim, room)
+    return -(-(size // (dim * lo)) // hs) * nl
+
+
+def _slab_grid(size: int, qubits: int, m: int, dim: int, room: int) -> tuple[int, int, int, int]:
+    # dense_block's slabs: the low-bit extent lo (columns included), then
+    # high rows and low entries per slab, and slabs across the low bits.
+    lo = size >> (qubits - m)
+    hs = max(1, room // (dim * lo))
+    ls = min(lo, room // dim)
+    return lo, hs, ls, -(-lo // ls)
 
 
 def _multiply(target: np.ndarray, phase: complex | np.ndarray, cols: int) -> None:

@@ -444,15 +444,16 @@ def test_echo_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest.params["delta"] == 0.05
 
 
-@pytest.mark.parametrize("delta", ["nan", "inf"])
+@pytest.mark.parametrize("delta", ["nan", "inf", "8.99e307"])
 def test_echo_non_finite_delta_is_one_line_error(tmp_path, capsys, delta):
+    # 8.99e307 is finite, but the width 2 * delta of its kick range is not.
     out = tmp_path / "echo.csv"
     code, stdout, err = run(
         capsys, "echo", "--qubits", "3", "--steps", "2", "--delta", delta,
         "--ensemble", "2", "--seed", "1", "--out", str(out),
     )
     assert code == 1 and stdout == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith("error: perturbation strength") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -386,7 +386,7 @@ def test_echo_config_validation():
         EchoConfig(2, 1, 0.1, 0, 0)
     with pytest.raises(DomainError):
         EchoConfig(2, 1, 0.1, 1, -5)
-    for delta in (float("nan"), float("inf"), float("-inf")):
+    for delta in (float("nan"), float("inf"), float("-inf"), 8.99e307):
         with pytest.raises(DomainError, match="finite"):
             EchoConfig(2, 1, delta, 1, 0)
 

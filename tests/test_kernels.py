@@ -25,6 +25,7 @@ from qbaker.baker import baker_circuit
 from qbaker.kernels import (
     cond_phase,
     dense_block,
+    dense_slabs,
     diagonal,
     get_num_threads,
     hadamard,
@@ -144,16 +145,22 @@ def _on_bits(mat: np.ndarray, qubits: int, m: int) -> np.ndarray:
 @pytest.mark.parametrize("scratch", [16, 48, 1 << 12])
 def test_dense_block_matches_kron(cols, scratch):
     # Every window position of 1 to 4 bits in 8 qubits, through scratch
-    # buffers from one 16-amplitude slab to the whole array.
+    # buffers from one 16-amplitude slab to the whole array. Its slabs
+    # applied one at a time, last first, give the bits of the whole call.
     rng = np.random.default_rng(cols * scratch)
     for w in range(1, 5):
         mat = rng.standard_normal((1 << w, 1 << w)) + 1j * rng.standard_normal((1 << w, 1 << w))
         for m in range(0, 9 - w):
             arr = rng.standard_normal((256, cols)) + 1j * rng.standard_normal((256, cols))
+            by_slab = arr.copy()
             expect = _on_bits(mat, 8, m) @ arr
-            dense_block(arr.reshape(-1) if cols == 1 else arr, 8, m, mat,
-                        np.empty(scratch, dtype=complex))
+            buf = np.empty(scratch, dtype=complex)
+            dense_block(arr.reshape(-1) if cols == 1 else arr, 8, m, mat, buf)
             assert np.abs(arr - expect).max() <= 1e-13, (w, m)
+            for s in reversed(range(dense_slabs(by_slab.size, 8, m, 1 << w, scratch))):
+                dense_block(by_slab.reshape(-1) if cols == 1 else by_slab, 8, m, mat, buf,
+                            range(s, s + 1))
+            assert np.array_equal(by_slab, arr), (w, m)
 
 
 def test_diagonal_multiplies_by_table_over_bits():
@@ -233,9 +240,11 @@ def test_reimported_kernels_module_is_collectable():
 
 
 def test_threaded_application_bitwise_identical():
-    # Contract: deterministic per (input, thread count); these kernels are
-    # elementwise, so the result is identical across counts too. L = 18 is
-    # four chunks, one per worker.
+    # Contract: deterministic per (input, thread count). Every chunk and
+    # every slab of a window above the chunk height gets the same zgemm
+    # (`dense_block`) on the same shapes whichever worker runs it, so the
+    # result is identical across counts too. L = 18 is four chunks, one per
+    # worker.
     psi = random_state(18, 21)
     circuit = baker_circuit(18)
     threads = get_num_threads()

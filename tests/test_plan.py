@@ -15,6 +15,7 @@ import itertools
 import math
 import multiprocessing
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -194,24 +195,37 @@ def test_plan_calls_kernels_through_the_module(monkeypatch):
     masks = {mask for _, ops in steps for kind, _, _, _, mask in ops if kind == gates._DIAGONAL}
     assert 0 in masks and len(masks) > 1
     calls = Counter()
+    lock = threading.Lock()   # kernel workers call the wrappers too
     targets = [(kernels, "swap_bits"), (kernels, "permute_bits")]
     for module, name in targets + [fn for fn in KERNEL_OF_OP.values() if fn is not None]:
         def counted(*args, _fn=getattr(module, name), _name=name):
-            calls[_name] += 1
+            with lock:
+                calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
-    gates._apply_circuit_array(psi, circuit)
 
     expect = Counter(permute_bits=1)
     for height, ops in steps:
-        # A step above the chunk height calls its kernel once per chunk of
-        # 2^height rows, as a chunk-local run does per chunk.
+        if height > k:
+            # A window above the chunk height is one dense_block call per
+            # slab, and each slab fills the one-chunk scratch.
+            expect["dense_block"] += psi.size // gates.CHUNK_AMPLITUDES
+            continue
         chunks = range(1 << (qubits - height))
         for kind, _, _, _, mask in ops:
             if KERNEL_OF_OP[kind] is not None:
                 expect[KERNEL_OF_OP[kind][1]] += sum(1 for c in chunks if c & mask == mask)
-    assert calls == expect
+    assert any(height > k for height, _ in steps)
+    threads = kernels.get_num_threads()
+    try:
+        for n in (1, 2):
+            set_num_threads(n)
+            calls.clear()
+            gates._apply_circuit_array(psi.copy(), circuit)
+            assert calls == expect, n
+    finally:
+        set_num_threads(threads)
     # The block plan applies no gate on its own: every A is in a dense block.
     assert calls["dense_block"] and calls["diagonal"]
     assert not calls["hadamard"] and not calls["cond_phase"]
@@ -500,6 +514,66 @@ def test_plan_with_two_threads_matches_one_thread(monkeypatch):
 def test_fused_plan_with_two_threads_matches_one_thread():
     # Each chunk gets the same fused operations whichever worker runs it.
     assert _in_child(_two_threads_match_the_loop, 18) == 0
+
+
+def _windows_shared_by_slab(qubits: int, cols: int) -> None:
+    # A window step above the chunk height is shared out by slab: with two
+    # workers, the first slab each worker applies waits for the other's, so
+    # a step on one worker would time out. Beside a foreign thread the same
+    # slabs run in the calling thread. All three runs give the same bits.
+    arr = _random_columns(qubits, cols, 7)
+    circuit = baker_circuit(qubits)
+    k = gates._chunk_qubits(arr.size, qubits)
+    seen, waited, meet = [], set(), threading.Barrier(2, timeout=30)
+
+    def recorded(chunk, height, m, unitary, scratch, slabs=None, _fn=kernels.dense_block):
+        if height > k:
+            name = threading.current_thread().name
+            if name.startswith("qbaker-kernels_") and name not in waited:
+                waited.add(name)
+                meet.wait()
+            row = (chunk.ctypes.data - work.ctypes.data) // work[0:1].nbytes
+            seen.append((id(unitary), row, slabs.start, name))
+        return _fn(chunk, height, m, unitary, scratch, slabs)
+
+    kernels.dense_block = recorded
+    runs = {}
+    for label, n in (("single", 1), ("pooled", 2), ("beside", 2)):
+        set_num_threads(n)
+        seen.clear()
+        work = arr.copy()
+        release = threading.Event()
+        foreign = threading.Thread(target=release.wait)
+        if label == "beside":
+            foreign.start()
+        try:
+            got = gates._apply_circuit_array(work, circuit)
+        finally:
+            release.set()
+            if label == "beside":
+                foreign.join(timeout=30)
+        runs[label] = (got, sorted(seen))
+    me = threading.current_thread().name
+    slabs = {label: [s[:3] for s in run[1]] for label, run in runs.items()}
+    names = {label: {s[3] for s in run[1]} for label, run in runs.items()}
+    ok = (
+        all(np.array_equal(got, runs["single"][0]) for got, _ in runs.values())
+        and _matches_loop(runs["single"][0], arr, circuit)
+        and slabs["single"] and slabs["pooled"] == slabs["single"] == slabs["beside"]
+        and names["single"] == names["beside"] == {me}
+        and len(names["pooled"]) == 2
+        and all(name.startswith("qbaker-kernels_") for name in names["pooled"])
+        and not foreign.is_alive()
+    )
+    sys.exit(0 if ok else 3)
+
+
+@pytest.mark.parametrize("qubits, cols", [(20, 1), (14, 33)])
+def test_windows_above_the_chunk_height_are_shared_by_slab(qubits, cols):
+    # One state at L = 20 (k = 16) has one-chunk window steps; 33 columns at
+    # L = 14 (k = 10) give window steps of four chunks, each with a partial
+    # last slab.
+    assert _in_child(_windows_shared_by_slab, qubits, cols, timeout=120.0) == 0
 
 
 def _parent_then_forked_child(qubits: int) -> None:
