@@ -30,11 +30,12 @@ From ``FUSE_MIN_QUBITS`` on, the plan is built from dense blocks instead
 alone: each block is a diagonal of B gates, applied as phase tables over
 bit spans, phases folded into the block's unitary and whole-chunk phases,
 then one 2^4 x 2^4 unitary on a window of 4 adjacent labels,
-applied as one matrix product per chunk (or, above the chunk height, per
-slab of the whole array, the slabs shared out among the kernel workers
-like chunks). No A gate is then applied on its own. The result is
-deterministic for a given array shape and thread count, and agrees with
-the gate loop, and each column with a lone state, to 1e-12.
+applied as one matrix product per chunk, or, above the chunk height, per
+``kernels.dense_block`` slab of the whole array. No A gate is then
+applied on its own. The result is deterministic for a given array shape
+and thread count, and agrees with the gate loop, and each column with a
+lone state, to 1e-12. One function, _apply_run, applies every step, in
+work units the kernel workers share out: chunks, or those slabs.
 """
 from __future__ import annotations
 
@@ -385,8 +386,8 @@ def _block_steps(gates: tuple[Gate, ...], qubits: int, k: int) -> list[tuple[int
     other label is in the window or also >= k fold into it: on chunk c
     they are a phase d_c over the window's bits, summed per chunk (see
     _fold_terms), so the chunk gets U diag(d_c). Otherwise the window
-    is a step of its own at height hi, which acts on the whole array in
-    chunks of 2^hi rows. Of the rest of the diagonal, the B gates that
+    is a step of its own at height hi, applied to the whole array slab by
+    slab (see _run_plan). Of the rest of the diagonal, the B gates that
     share a label s >= k and have their partner p below k are a _DIAGONAL
     table over the partners' bit span on the chunks with bit s set (two
     tables, one per half, if the span is wider than ceil(k/2) bits), and
@@ -474,14 +475,16 @@ def _chunk_qubits(size: int, qubits: int) -> int:
     return k if MIN_CHUNK_QUBITS <= k < qubits else qubits
 
 
-def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
-    # Kernels are looked up on the module at each call, so wrappers put on
-    # the module attributes see every call.
-    # Dense blocks write through one scratch of a chunk per call, that is
-    # per worker and step.
+def _apply_run(arr: np.ndarray, ops: tuple, k: int, slabs: int, u0: int, u1: int) -> None:
+    # Work units u0..u1 of a step at height k: unit u is slab u % slabs of
+    # chunk u // slabs (slabs = 1: whole chunks, every slab of their dense
+    # blocks). Kernels are looked up on the module at each call, so wrappers
+    # put on the module attributes see every call. Dense blocks write
+    # through one scratch of a chunk per call, that is per worker and step.
     rows = 1 << k
     scratch = None
-    for c in range(c0, c1):
+    for u in range(u0, u1):
+        c, s = divmod(u, slabs)
         chunk = arr[c * rows:(c + 1) * rows]
         for kind, m, n, value, mask in ops:
             if kind == _DENSE:
@@ -490,7 +493,8 @@ def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
                     scratch = np.empty(_room(len(unitary)), dtype=np.complex128)
                 if phases is not None:
                     unitary = unitary * _fold_phases(c, *phases)
-                kernels.dense_block(chunk, k, m, unitary, scratch)
+                kernels.dense_block(chunk, k, m, unitary, scratch,
+                                    range(s, s + 1) if slabs > 1 else None)
             elif kind == _HADAMARD:
                 kernels.hadamard(chunk, k, m)
             elif kind == _COND_PHASE:
@@ -503,19 +507,6 @@ def _apply_run(arr: np.ndarray, ops: tuple, k: int, c0: int, c1: int) -> None:
                 kernels.phase_on_one(chunk, k, m, value)
             else:
                 chunk *= value  # _CHUNK_PHASE
-
-
-def _apply_slabs(arr: np.ndarray, unitary: np.ndarray, m: int, height: int, slabs: int,
-                 u0: int, u1: int) -> None:
-    # A window step above the chunk height, in work units u0..u1: unit u is
-    # slab u % slabs of chunk u // slabs of 2^height rows, one dense_block
-    # call each, through one scratch per call of this function.
-    rows = 1 << height
-    scratch = np.empty(_room(len(unitary)), dtype=np.complex128)
-    for u in range(u0, u1):
-        c, s = divmod(u, slabs)
-        kernels.dense_block(arr[c * rows:(c + 1) * rows], height, m, unitary, scratch,
-                            range(s, s + 1))
 
 
 def _room(dim: int) -> int:
@@ -532,23 +523,25 @@ def _apply_circuit_array(arr: np.ndarray, circuit: Circuit) -> np.ndarray:
 
 def _run_plan(arr: np.ndarray, circuit: Circuit, fuse: bool) -> np.ndarray:
     """As _apply_circuit_array, through the block plan if `fuse`. The
-    blocks' own matrices are built with `fuse` off."""
+    blocks' own matrices are built with `fuse` off. An array with no
+    columns is returned as it is."""
+    if not arr.size:
+        return arr
     qubits = circuit.qubits
     k = _chunk_qubits(arr.size, qubits)
     steps, relabel = _plan(circuit, k, fuse)
     runs = []
     for height, ops in steps:
-        chunks = 1 << (qubits - height)
+        slabs = 1
         if height > k and fuse:
-            # A window above k, the step's one op, is shared out by slab, so
-            # that a step of one chunk keeps every worker busy too.
+            # A window above k, the step's one op, is shared out by slab of
+            # the whole array. Each slab holds one high row (2^k M > half a
+            # chunk), so they are the slabs of its chunks of 2^height rows.
             (_, m, _, (unitary, _), _), = ops
-            size = arr.size >> (qubits - height)
-            slabs = kernels.dense_slabs(size, height, m, len(unitary), _room(len(unitary)))
-            runs.append((functools.partial(_apply_slabs, arr, unitary, m, height, slabs),
-                         chunks * slabs))
-        else:
-            runs.append((functools.partial(_apply_run, arr, ops, height), chunks))
+            height = qubits
+            slabs = kernels.dense_slabs(arr.size, qubits, m, len(unitary), _room(len(unitary)))
+        runs.append((functools.partial(_apply_run, arr, ops, height, slabs),
+                     slabs << (qubits - height)))
     # Per-gate plans stay in the calling thread. On the pool they cut the
     # L = 9 spectrum's time by 7% but raised its peak RSS by 7 MiB, the
     # freed chunk temporaries that the workers' malloc arenas keep.

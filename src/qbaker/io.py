@@ -178,13 +178,11 @@ def circuit_to_text(circuit: Circuit) -> str:
 # Matrix JSON: {"qubits": L, "dim": D, "entries": [[[re, im], ...] rows]}.
 
 def matrix_json_chunks(mat: np.ndarray, qubits: int) -> Iterator[str]:
-    """The text of `matrix_to_json(mat, qubits)`, in pieces of whole rows."""
+    """The matrix JSON text of the complex (D, D) `mat` on `qubits` qubits,
+    in pieces of whole rows; joined, they are the bytes `json.dumps` gives
+    for the whole object."""
     entries = mat.view(np.float64).reshape(*mat.shape, 2)
     return _json_chunks(f'{{"qubits": {qubits}, "dim": {mat.shape[0]}, "entries": ', entries)
-
-
-def matrix_to_json(mat: np.ndarray, qubits: int) -> str:
-    return "".join(matrix_json_chunks(mat, qubits))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ a block plan hands ranges of the work units of each of its steps to a
 shared thread pool (`run_chunks`), by default one worker per core this
 process may run on, capped by a cgroup v2 CPU quota
 (`/sys/fs/cgroup/cpu.max`). A unit is a chunk, or, in a step that applies
-a window above the chunk height, one `dense_block` slab of a chunk (see
-`dense_slabs`). Per-gate plans run in the calling thread. Every element
+a window above the chunk height, one `dense_block` slab of the whole array
+(see `dense_slabs`). Per-gate plans run in the calling thread. Every element
 is written exactly once, by the same formula from the same inputs, so
 results are independent of the thread count.
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -95,19 +96,27 @@ def set_num_threads(n: int) -> None:
     The default is one worker per core this process may run on (capped by
     a cgroup v2 CPU quota), when numpy's OpenBLAS can be pinned and its
     helpers stopped (see the module docstring), and 1 otherwise. Workers
-    share out the chunks, or slabs, of the steps of a block plan (from
-    `gates.FUSE_MIN_QUBITS` on), so they apply to arrays of at least two
-    chunks or slabs; per-gate plans run in the calling thread.
+    share out the work units of the steps of a block plan (from
+    `gates.FUSE_MIN_QUBITS` on): the chunks of a chunk run, or the slabs of
+    the whole array in a window step above the chunk height. So they apply
+    to arrays of at least two chunks or slabs; per-gate plans run in the
+    calling thread.
     """
     global _num_threads, _pool
-    if n < 1:
-        raise DomainError(f"thread count must be >= 1, got {n}")
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or isinstance(n, bool):
+        raise DomainError(f"thread count must be an integer, got {n!r}")
+    if count < 1:
+        raise DomainError(f"thread count must be >= 1, got {count}")
     _renew_after_fork()
     with _lock:
-        if _pool is not None and n != _num_threads:
+        if _pool is not None and count != _num_threads:
             _pool.shutdown(wait=True)
             _pool = None
-        _num_threads = n
+        _num_threads = count
 
 
 def get_num_threads() -> int:
@@ -148,7 +157,8 @@ def _alone() -> bool:
 
 def run_chunks(steps, pooled: bool) -> None:
     """For each (unit_fn, units) of `steps` in turn, call unit_fn(u0, u1)
-    over the work unit indices [0, units): chunks, or chunk slabs.
+    over the work unit indices [0, units): the chunks of a chunk run, or
+    the `dense_block` slabs of the whole array in a window step.
 
     The steps run on the pool when `pooled` (a block plan), there are n > 1
     workers, a step has two or more units and no thread but the caller and

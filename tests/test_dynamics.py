@@ -137,6 +137,15 @@ def test_distributions_of_columns_match_each_state_bitwise(qubits):
         assert np.array_equal(mom[:, c], momentum_distribution(s))
 
 
+@pytest.mark.parametrize("qubits", [2, 11])
+def test_distributions_of_no_columns_are_empty(qubits):
+    # L = 11 goes through a block plan; an array with no columns has no
+    # amplitude to move in either plan.
+    batch = np.zeros((1 << qubits, 0), dtype=complex)
+    for dist in (position_distribution, momentum_distribution):
+        assert dist(batch).shape == (1 << qubits, 0)
+
+
 def test_distribution_rejects_nan_amplitudes():
     s = basis_state(2, 0)
     bad = type(s)(2, np.array([np.nan, 0, 0, 0], dtype=complex))

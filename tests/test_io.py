@@ -23,7 +23,7 @@ from qbaker.io import (
     circuit_to_text,
     echo_records_to_csv,
     form_factor_to_csv,
-    matrix_to_json,
+    matrix_json_chunks,
     read_state,
     state_from_json,
     state_to_json,
@@ -96,7 +96,8 @@ def test_sliced_json_is_json_dumps_of_the_whole_list(monkeypatch, slice_pairs):
     mat = np.outer(amps[:8], amps[8:16].conj())
     mat[3, 3] = complex(-0.0, 0.0)
     entries = mat.view(np.float64).reshape(8, 8, 2).tolist()
-    assert matrix_to_json(mat, 3) == json.dumps({"qubits": 3, "dim": 8, "entries": entries})
+    expect = json.dumps({"qubits": 3, "dim": 8, "entries": entries})
+    assert "".join(matrix_json_chunks(mat, 3)) == expect
 
 
 def test_json_writers_hold_one_slice(tmp_path):
@@ -239,7 +240,7 @@ def test_circuit_text_relabeled_phase_survives():
 
 def test_matrix_json_shape():
     mat = np.array([[1.0, 0.0], [0.0, 1.0j]])
-    obj = json.loads(matrix_to_json(mat, 1))
+    obj = json.loads("".join(matrix_json_chunks(mat, 1)))
     assert obj["qubits"] == 1
     assert obj["dim"] == 2
     assert obj["entries"][1][1] == [0.0, 1.0]
@@ -247,7 +248,7 @@ def test_matrix_json_shape():
 
 def test_matrix_json_bytes_keep_signed_zeros_and_subnormals():
     mat = np.array([[complex(-0.0, 5e-324), 0.1], [-2.5j, complex(1.0, -0.0)]])
-    assert matrix_to_json(mat, 1) == (
+    assert "".join(matrix_json_chunks(mat, 1)) == (
         '{"qubits": 1, "dim": 2, "entries": '
         '[[[-0.0, 5e-324], [0.1, 0.0]], [[-0.0, -2.5], [1.0, -0.0]]]}'
     )

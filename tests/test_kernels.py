@@ -184,6 +184,17 @@ def test_thread_count_validation():
     with pytest.raises(DomainError):
         set_num_threads(0)
     assert get_num_threads() == threads
+    # A float, a string or a bool is not a worker count; a numpy integer is
+    # stored as a plain int.
+    for bad in (2.5, 2.0, "2", True, False, None):
+        with pytest.raises(DomainError, match="integer"):
+            set_num_threads(bad)
+        assert get_num_threads() == threads
+    try:
+        set_num_threads(np.int64(1))
+        assert type(get_num_threads()) is int and get_num_threads() == 1
+    finally:
+        set_num_threads(threads)
 
 
 def _threaded_application() -> None:

@@ -576,6 +576,44 @@ def test_windows_above_the_chunk_height_are_shared_by_slab(qubits, cols):
     assert _in_child(_windows_shared_by_slab, qubits, cols, timeout=120.0) == 0
 
 
+def test_windows_above_the_chunk_height_have_slabs_of_one_high_row():
+    # A window step above the chunk height is cut into slabs of the whole
+    # array. Each holds one high row (2^k M > half a chunk), so they are the
+    # slabs of its chunks of 2^hi rows, in the same order and shapes.
+    windows = 0
+    for qubits in range(11, 23):
+        for cols in (1, 2, 3, 5, 7, 33, 50, 200, 1000, 3000, 5000, 8000):
+            size = cols << qubits
+            k = gates._chunk_qubits(size, qubits)
+            for circuit in (baker_circuit(qubits), qft_circuit(qubits)):
+                for height, ops in gates._plan(circuit, k, True)[0]:
+                    if height > k:
+                        (_, m, _, (unitary, _), _), = ops
+                        dim = len(unitary)
+                        assert kernels._slab_grid(size, qubits, m, dim, gates._room(dim))[1] == 1
+                        windows += 1
+    assert windows
+
+
+@pytest.mark.parametrize("qubits, cols", [(11, 200), (12, 300)])
+def test_one_chunk_larger_than_the_dense_scratch(monkeypatch, qubits, cols):
+    # With chunks of 2^10 amplitudes, chunks of these arrays would have
+    # fewer than 2^3 rows, so each runs as one chunk (k = L), whose dense
+    # blocks dense_block cuts into many slabs of its one-chunk scratch.
+    monkeypatch.setattr(gates, "CHUNK_AMPLITUDES", 1 << 10)
+    arr = _random_columns(qubits, cols, qubits)
+    arr /= np.linalg.norm(arr, axis=0)
+    circuit = baker_circuit(qubits)
+    assert gates._chunk_qubits(arr.size, qubits) == qubits
+    steps, _ = gates._plan(circuit, qubits, True)
+    dims = [(m, len(value[0])) for _, ops in steps for kind, m, _, value, _ in ops
+            if kind == gates._DENSE]
+    assert dims and all(kernels.dense_slabs(arr.size, qubits, m, dim, gates._room(dim)) > 1
+                        for m, dim in dims)
+    got = gates._apply_circuit_array(arr.copy(), circuit)
+    assert _column_error(got, _gate_loop(arr.copy(), circuit)) <= 1e-12
+
+
 def _parent_then_forked_child(qubits: int) -> None:
     psi = random_state(qubits, 8).amplitudes
     circuit = baker_circuit(qubits)
