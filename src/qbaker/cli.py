@@ -68,12 +68,13 @@ ECHO_COLUMN_BYTES = 96
 ECHO_MEMBER_BYTES = 1024
 ECHO_ROW_BYTES = 384
 # Bytes of `iterate --state` per byte of the state file, while it is read
-# and parsed: the text, the parsed lists and numbers, and the state built
-# from them. Measured with the array reader, at L = 18 and 20, as 4.3 (4.8
-# by ru_maxrss) for files qbaker writes, 18.2 (20.3) for the densest entries
-# with a float ([0,1e0]), 20.0 (22.2) for the densest of all, [0,0], whose
-# ints are shared, and 23.0 (25.2) when one non-ASCII character widens the
-# text to 4 bytes per character.
+# and parsed. Files qbaker writes are read straight into the array: their
+# peak is the read itself, the file's bytes and their decoded text at once,
+# measured at L = 18 and 20 as 2.0 (2.0-2.1 by ru_maxrss in a fresh
+# process). Any other file also holds the parsed lists and numbers: 18.2
+# (20.3) for the densest entries with a float ([0,1e0]), 20.0 (22.2) for
+# the densest of all, [0,0], whose ints are shared, and 23.0 (25.2) when one
+# non-ASCII character widens the text to 4 bytes per character.
 STATE_FILE_PARSE_BYTES = 32
 # Bytes of `formfactor` per n: the trace, |trace|^2 / D and the CSV line in
 # the line list and the joined text. Measured as 140 at n = 2-4 x 10^4. The

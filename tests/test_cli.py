@@ -308,6 +308,19 @@ def test_iterate_missing_state_file_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing/out.json", "a-directory"])
+def test_unwritable_out_is_one_line_error_naming_it(tmp_path, capsys, target):
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / target
+    code, stdout, err = run(
+        capsys, "iterate", "--qubits", "2", "--basis", "0", "--steps", "1", "--out", str(out)
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.rstrip().endswith(repr(str(out))) and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
+
+
 def test_iterate_rejects_unnormalized_state_file(tmp_path, capsys):
     src = tmp_path / "zero.json"
     dst = tmp_path / "out.json"

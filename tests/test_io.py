@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import state_from_json_loop
 
 from qbaker import (
@@ -172,10 +174,102 @@ def test_state_reader_matches_the_entry_loop_on_mixed_files():
         assert _read_outcome(state_from_json, text) == _read_outcome(state_from_json_loop, text)
 
 
-def test_state_reader_converts_written_files_in_one_pass():
+# Tokens in the writer's layout that JSON refuses; Python's float() or
+# np.fromstring take most of them.
+NOT_JSON_NUMBERS = ["+1.0", ".5", "5.", "5.e3", "-.5", "01.5", "-01.5", "1.0.0", "1e", "1e+",
+                    "1E+-5", "", "1e5e5", "1e5.0", "--1.0", "1.0-2"]
+
+
+@pytest.mark.parametrize("token", NOT_JSON_NUMBERS)
+def test_state_reader_refuses_non_json_numbers_in_the_writer_layout(token):
+    for entries in ([f"[{token}, 0.0]", "[1.0, 0.0]"], ["[1.0, 0.0]", f"[0.0, {token}]"]):
+        text = _pairs_text(entries)
+        assert io._canonical_state(text) is None
+        outcome = _read_outcome(state_from_json, text)
+        assert outcome[0] == "error" and outcome == _read_outcome(state_from_json_loop, text)
+
+
+LAYOUT_VARIANTS = {
+    "no space after the comma": '{"qubits": 1, "amplitudes": [[1.0,0.0], [0.0, 0.0]]}',
+    "two spaces": '{"qubits": 1, "amplitudes": [[1.0,  0.0], [0.0, 0.0]]}',
+    "indent=1": json.dumps({"qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, indent=1),
+    "keys swapped": '{"amplitudes": [[1.0, 0.0], [0.0, 0.0]], "qubits": 1}',
+    "a non-ASCII digit": '{"qubits": 1, "amplitudes": [[1.0, 0.0], [\u0661.0, 0.0]]}',
+    "text after ]}": '{"qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]} x',
+    "qubits 1000": '{"qubits": 1000, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+    "qubits 999": '{"qubits": 999, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+    "an int first": '{"qubits": 1, "amplitudes": [[-0, 1.0], [0.0, 0.0]]}',
+    "an int inside": '{"qubits": 1, "amplitudes": [[1.0, -0], [0.0, 0.0]]}',
+    "an int last": '{"qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, -0]]}',
+    "a bracket for the brace": '{"qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]]',
+    "a bare number between pairs": '{"qubits": 1, "amplitudes": [[1.0, 0.0], 0.0], 0.0]]}',
+    "pairs in pairs": '{"qubits": 1, "amplitudes": [[1.0, [0.0, [0.0, 0.0]]]}',
+    "space inside the list": '{"qubits": 1, "amplitudes": [ [1.0, 0.0], [0.0, 0.0]]}',
+    "short pair": '{"qubits": 1, "amplitudes": [[1.0], [0.0, 0.0, 0.0]]}',
+    "long pair": '{"qubits": 1, "amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0]]}',
+    "nested pair": '{"qubits": 1, "amplitudes": [[[1.0, 0.0]], [0.0, 0.0]]}',
+    "one long pair": '{"qubits": 1, "amplitudes": [[1.000000000000000000000000, 0.0]]}',
+    "three pairs": '{"qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+    "1e400": '{"qubits": 1, "amplitudes": [[1.0, 0.0], [1e400, 0.0]]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_VARIANTS))
+def test_state_reader_sends_other_layouts_to_the_json_reader(case):
+    text = LAYOUT_VARIANTS[case]
+    assert io._canonical_state(text) is None
+    assert _read_outcome(state_from_json, text) == _read_outcome(state_from_json_loop, text)
+
+
+@pytest.mark.parametrize("token", ["-0.0", "5e-324", "1.7976931348623157e308", "1e-05",
+                                   "1.5e-0005", "-1.5E+3", "1e-400", "-2.5e-400",
+                                   "0." + "3" * 400, "1" + "0" * 308 + ".5"])
+def test_state_reader_converts_json_floats_bit_exactly(token):
+    text = _pairs_text([f"[{token}, 0.5]", f"[0.25, {token}]"]) + " \t\r\n"
+    assert io._canonical_state(text) is not None
+    assert _read_outcome(state_from_json, text) == _read_outcome(state_from_json_loop, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda q: st.lists(st.integers(0, 2**64 - 1), min_size=2 << q, max_size=2 << q)))
+def test_written_float_bits_read_back(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values[~np.isfinite(values)] = 0.5
+    state = StateVector(len(values).bit_length() - 2, values.view(np.complex128))
+    text = "".join(io.state_json_chunks(state))
+    assert io._canonical_state(text) is not None
+    assert state_from_json(text).amplitudes.tobytes() == values.tobytes()
+
+
+def test_state_reader_converts_written_files_in_one_pass(monkeypatch):
+    # Slices of 100 characters cut the L = 6 file at many pair joins.
+    monkeypatch.setattr(io, "READ_SLICE_CHARS", 100)
     for state in (random_state(6, 1), basis_state(3, 2)):
-        amps = json.loads(state_to_json(state))["amplitudes"]
-        assert io._pairs_array(amps) is not None
+        back = io._canonical_state(state_to_json(state))
+        assert back is not None and back.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+def test_state_reader_converts_indented_files_in_one_pass():
+    state = random_state(5, 4)
+    obj = json.loads(state_to_json(state))
+    assert io._pairs_array(obj["amplitudes"]) is not None
+    text = json.dumps(obj, indent=1)
+    assert state_from_json(text).amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+def test_written_file_is_read_without_json_lists():
+    text = state_to_json(random_state(18, 6)) + "\n"
+    peaks = []
+    for read in (lambda: json.loads(text), lambda: state_from_json(text)):
+        tracemalloc.start()
+        try:
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert io._canonical_state(text) is not None
+    assert peaks[1] < peaks[0] / 2
 
 
 def test_state_wrong_amplitude_count():

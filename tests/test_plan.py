@@ -532,8 +532,7 @@ def _windows_shared_by_slab(qubits: int, cols: int) -> None:
             if name.startswith("qbaker-kernels_") and name not in waited:
                 waited.add(name)
                 meet.wait()
-            row = (chunk.ctypes.data - work.ctypes.data) // work[0:1].nbytes
-            seen.append((id(unitary), row, slabs.start, name))
+            seen.append((id(unitary), slabs.start, name))
         return _fn(chunk, height, m, unitary, scratch, slabs)
 
     kernels.dense_block = recorded
@@ -554,8 +553,8 @@ def _windows_shared_by_slab(qubits: int, cols: int) -> None:
                 foreign.join(timeout=30)
         runs[label] = (got, sorted(seen))
     me = threading.current_thread().name
-    slabs = {label: [s[:3] for s in run[1]] for label, run in runs.items()}
-    names = {label: {s[3] for s in run[1]} for label, run in runs.items()}
+    slabs = {label: [s[:2] for s in run[1]] for label, run in runs.items()}
+    names = {label: {s[2] for s in run[1]} for label, run in runs.items()}
     ok = (
         all(np.array_equal(got, runs["single"][0]) for got, _ in runs.values())
         and _matches_loop(runs["single"][0], arr, circuit)
