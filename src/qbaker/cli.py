@@ -71,9 +71,9 @@ ECHO_ROW_BYTES = 384
 # and parsed. Files qbaker writes are read straight into the array: their
 # peak is the read itself, the file's bytes and their decoded text at once,
 # measured at L = 18 and 20 as 2.0 (2.0-2.1 by ru_maxrss in a fresh
-# process). Any other file also holds the parsed lists and numbers: 18.2
-# (20.3) for the densest entries with a float ([0,1e0]), 20.0 (22.2) for
-# the densest of all, [0,0], whose ints are shared, and 23.0 (25.2) when one
+# process). Any other file also holds the parsed lists and numbers: 18.1
+# (20.0) for the densest entries with a float ([0,1e0]), 19.8 (22.1) for
+# the densest of all, [0,0], whose ints are shared, and 22.8 (25.1) when one
 # non-ASCII character widens the text to 4 bytes per character.
 STATE_FILE_PARSE_BYTES = 32
 # Bytes of `formfactor` per n: the trace, |trace|^2 / D and the CSV line in

@@ -7,14 +7,13 @@ reproduces the exact double-precision bits.
 
 State and matrix JSON are streamed JSON_SLICE_PAIRS [re, im] pairs at a
 time, with the bytes `json.dumps` gives for the whole list. The state
-reader has three tiers, each taken only when the one before declines:
+reader has two tiers, the second taken only when the first declines:
   1. Text in the writer's exact layout, every number a finite JSON float,
      is checked and converted READ_SLICE_CHARS characters at a time
      straight into the array, with no Python object per number.
-  2. Any other text goes to `json.loads`; if every entry is a pair of
-     finite numbers, the lists are converted in one array pass.
-  3. Otherwise the entries are checked one by one, to name the first bad
-     one. Every outcome and error message is that of tiers 2 and 3 alone.
+  2. Any other text goes to `json.loads`, and its entries are checked and
+     converted one by one, to name the first bad one. Every outcome and
+     error message is that of this tier alone.
 """
 from __future__ import annotations
 
@@ -53,6 +52,19 @@ def _atomic_write_text(chunks: Iterable[str], path: str) -> None:
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
+
+
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object `text` holds; `what` names the file in errors."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what} is nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must hold a JSON object")
+    return obj
 
 
 def write_text_file(chunks: Iterable[str], path: str) -> None:
@@ -95,94 +107,31 @@ def state_to_json(state: StateVector) -> str:
     return "".join(state_json_chunks(state))
 
 
-def _pairs_array(amps: list) -> np.ndarray | None:
-    """The entries as a (D, 2) float64 array if every one is a pair of
-    finite numbers (not bools), else None."""
-    if set(map(type, amps)) != {list} or set(map(len, amps)) != {2}:
-        return None
-    if not set(map(type, itertools.chain.from_iterable(amps))) <= {float, int}:
-        return None
-    # From the flat stream: np.array on the nested lists is 2x slower and
-    # holds a 32-byte conversion record per pair while it runs.
-    try:
-        pairs = np.fromiter(itertools.chain.from_iterable(amps), dtype=np.float64,
-                            count=2 * len(amps)).reshape(-1, 2)
-    except OverflowError:
-        return None
-    return pairs if np.isfinite(pairs).all() else None
-
-
-# Character classes of the writer's layout, as bytes.translate tables:
-# _CLASS maps each byte to its class (0 for any other byte), and
-# _FOLLOWS[a << 4 | b] is 1 where class b may follow class a.
-_DIGIT, _ZERO, _DOT, _EXP, _PLUS, _MINUS, _SPACE, _OPEN, _COMMA, _CLOSE = range(1, 11)
-
-
-def _layout_tables() -> tuple[bytes, bytes]:
-    classes, follows = bytearray(256), bytearray(256)
-    for cls, chars in ((_DIGIT, b"123456789"), (_ZERO, b"0"), (_DOT, b"."), (_EXP, b"eE"),
-                       (_PLUS, b"+"), (_MINUS, b"-"), (_SPACE, b" "), (_OPEN, b"["),
-                       (_COMMA, b","), (_CLOSE, b"]")):
-        for char in chars:
-            classes[char] = cls
-    for before, after in (((_DIGIT, _ZERO), (_DIGIT, _ZERO, _DOT, _EXP, _COMMA, _CLOSE)),
-                          ((_DOT, _PLUS, _MINUS), (_DIGIT, _ZERO)),
-                          ((_EXP,), (_DIGIT, _ZERO, _PLUS, _MINUS)),
-                          ((_OPEN,), (_DIGIT, _ZERO, _MINUS)),
-                          ((_SPACE,), (_DIGIT, _ZERO, _MINUS, _OPEN)),
-                          ((_COMMA,), (_SPACE,)),
-                          ((_CLOSE,), (_COMMA,))):
-        for a in before:
-            for b in after:
-                follows[a << 4 | b] = 1
-    return bytes(classes), bytes(follows)
-
-
-_CLASS, _FOLLOWS = _layout_tables()
-_MARKS = np.array([_OPEN, _COMMA, _CLOSE, _COMMA], dtype=np.uint8)
 _STATE_HEAD = re.compile(r'\{"qubits": ([1-9][0-9]{0,2}), "amplitudes": \[')
+# A JSON number (RFC 8259 section 6) with a fraction, an exponent or both,
+# and one "[x, y]" pair of the writer's layout with the ", " after it,
+# which another pair must follow. `subn` matches the pattern a pair at a
+# time: a `fullmatch` of a repeated group held 17 MiB of backtracking
+# state per slice. Possessive and atomic forms would not, but they are
+# Python 3.11 syntax, and a parse of this file as Python 3.10 cannot see
+# syntax inside a pattern.
+_NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+_PAIR = re.compile(rb"\[" + _NUMBER + b", " + _NUMBER + rb"\](?:, (?=\[)|\Z)")
 # Characters of text checked and converted at a time. At L = 18 the first
-# tier then peaks at 11.7 MiB by tracemalloc; slices of 2^18 characters
-# halved that at the same speed, but left the `iterate --state` process
-# 4.5 MiB larger by ru_maxrss.
+# tier then peaks at 7.1 MiB by tracemalloc, and at 4.8 MiB with slices of
+# 2^18 characters; those left the `iterate --state` process 4.5 MiB larger
+# by ru_maxrss.
 READ_SLICE_CHARS = 1 << 20
 
 
 def _slice_pairs(data: bytes) -> np.ndarray | None:
     """The (n, 2) values of `data` if it is "[x, y]" pairs joined by ", ",
     each number a JSON float (with a '.' or an exponent), else None."""
-    cls = np.frombuffer(data.translate(_CLASS), dtype=np.uint8)
-    if cls[0] != _OPEN or cls[-1] != _CLOSE:
-        return None
-    codes = cls[:-1] << 4
-    codes |= cls[1:]
-    if 0 in codes.tobytes().translate(_FOLLOWS):
-        return None
-    # Brackets and commas read "[ , ] ," per pair, the last "," aside.
-    marks = np.flatnonzero(cls >= _OPEN)
-    seq = np.append(cls[marks], _COMMA)
-    if len(seq) % 4 or (seq.reshape(-1, 4) != _MARKS).any():
-        return None
-    # Numbers start after each "[" and each ", " inside a pair.
-    starts = np.empty(len(marks) // 2 + 1, dtype=np.intp)
-    starts[0::2] = marks[0::4] + 1
-    starts[1::2] = marks[1::4] + 2
-    # No leading zero in the integer part.
-    first = starts + (cls[starts] == _MINUS)
-    if (cls[first[cls[first] == _ZERO] + 1] <= _ZERO).any():
-        return None
-    # Each number holds a '.', an exponent or both, in that order: the
-    # numbers holding them run 0, 1, ..., once each or twice for ". e".
-    found = np.flatnonzero((cls == _DOT) | (cls == _EXP))
-    kind = cls[found]
-    number = np.searchsorted(starts, found, "right") - 1
-    step = np.diff(number)
-    twice = step == 0
-    if (len(found) == 0 or number[0] != 0 or number[-1] != len(starts) - 1 or (step > 1).any()
-            or (kind[:-1][twice] != _DOT).any() or (kind[1:][twice] != _EXP).any()):
+    rest, count = _PAIR.subn(b"", data)
+    if rest:
         return None
     values = np.fromstring(data.translate(None, b"[] "), dtype=np.float64, sep=",")
-    return values.reshape(-1, 2) if len(values) == len(starts) else None
+    return values.reshape(-1, 2) if len(values) == 2 * count else None
 
 
 def _canonical_state(text: str) -> StateVector | None:
@@ -219,12 +168,7 @@ def state_from_json(text: str) -> StateVector:
     state = _canonical_state(text)
     if state is not None:
         return state
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"state file is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParseError("state file must hold a JSON object")
+    obj = _json_object(text, "state file")
     qubits = obj.get("qubits")
     if not isinstance(qubits, int) or isinstance(qubits, bool) or qubits < 1:
         raise ParseError(f"field 'qubits': expected positive integer, got {qubits!r}")
@@ -237,10 +181,8 @@ def state_from_json(text: str) -> StateVector:
     if len(amps).bit_length() != qubits + 1 or len(amps) != 1 << qubits:
         expected = f"2^{qubits} = {1 << qubits}" if qubits < 63 else f"2^{qubits}"
         raise ParseError(f"field 'amplitudes': expected {expected} entries, got {len(amps)}")
-    pairs = _pairs_array(amps)
-    if pairs is not None:
-        return StateVector(qubits, pairs.view(np.complex128).reshape(-1))
-    # Some entry is not a pair of finite numbers: find and name the first.
+    # Entries are checked and converted one by one; an error names the
+    # first bad one.
     out = np.empty(1 << qubits, dtype=np.complex128)
     for i, entry in enumerate(amps):
         if (
@@ -355,12 +297,7 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"manifest is not valid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ParseError("manifest must hold a JSON object")
+        obj = _json_object(text, "manifest")
         for key in ("command", "params", "version", "timestamp"):
             if key not in obj:
                 raise ParseError(f"manifest missing field {key!r}")

@@ -321,6 +321,14 @@ def test_unwritable_out_is_one_line_error_naming_it(tmp_path, capsys, target):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
 
 
+def test_deeply_nested_state_file_is_one_line_error(tmp_path, capsys):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100000 + "]" * 100000)
+    code, stdout, err = run(capsys, "iterate", "--qubits", "1", "--state", str(src), "--steps", "1")
+    assert code == 1 and stdout == ""
+    assert err == "error: state file is nested too deeply\n"
+
+
 def test_iterate_rejects_unnormalized_state_file(tmp_path, capsys):
     src = tmp_path / "zero.json"
     dst = tmp_path / "out.json"

@@ -250,12 +250,48 @@ def test_state_reader_converts_written_files_in_one_pass(monkeypatch):
         assert back is not None and back.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
-def test_state_reader_converts_indented_files_in_one_pass():
-    state = random_state(5, 4)
-    obj = json.loads(state_to_json(state))
-    assert io._pairs_array(obj["amplitudes"]) is not None
-    text = json.dumps(obj, indent=1)
-    assert state_from_json(text).amplitudes.tobytes() == state.amplitudes.tobytes()
+def test_state_reader_reads_other_layouts_as_the_entry_loop():
+    pairs = random_state(5, 4).amplitudes.view(np.float64).reshape(-1, 2)
+    floats = {"qubits": 5, "amplitudes": pairs.tolist()}
+    ints = {"qubits": 5, "amplitudes": (pairs * 1e6).astype(int).tolist()}
+    for text in (json.dumps(floats, indent=1), json.dumps(floats, separators=(",", ":")),
+                 json.dumps(ints)):
+        assert io._canonical_state(text) is None
+        outcome = _read_outcome(state_from_json, text)
+        assert outcome[0] == "ok" and outcome == _read_outcome(state_from_json_loop, text)
+
+
+# Tokens from the characters of JSON numbers, float reprs, and reprs with a
+# few such characters around them (leading zeros, doubled signs, ...).
+_NUMBER_CHARS = "0123456789.eE+-"
+_FLOAT_REPRS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_TOKENS = st.one_of(
+    st.text(_NUMBER_CHARS, max_size=10),
+    _FLOAT_REPRS,
+    st.tuples(st.text(_NUMBER_CHARS, max_size=2), _FLOAT_REPRS,
+              st.text(_NUMBER_CHARS, max_size=2)).map("".join),
+)
+
+
+def _is_json_float(token):
+    try:
+        value = json.loads(token)
+    except json.JSONDecodeError:
+        return False
+    return type(value) is float and np.isfinite(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKENS, st.booleans())
+def test_first_tier_takes_exactly_the_json_floats(token, second):
+    pair = f"[0.25, {token}]" if second else f"[{token}, 0.25]"
+    text = _pairs_text([pair, "[0.5, -0.0]"])
+    accepted = io._canonical_state(text)
+    assert (accepted is not None) == _is_json_float(token)
+    if accepted is not None:
+        assert accepted.amplitudes.tobytes() == state_from_json_loop(text).amplitudes.tobytes()
+    # A slice ends at a pair, never at the ", " after one.
+    assert io._slice_pairs(pair.encode() + b", ") is None
 
 
 def test_written_file_is_read_without_json_lists():
@@ -392,6 +428,7 @@ def test_form_factor_csv_strict():
      "'params' must hold a JSON object"),
     ('{"command": "iterate", "params": {}, "version": "1"}', "missing field 'timestamp'"),
     ("{", "not valid JSON"),
+    pytest.param("[" * 100000, "nested too deeply", id="deeply nested"),
 ])
 def test_manifest_reader_rejects_malformed_input(text, message):
     with pytest.raises(ParseError, match=message):
