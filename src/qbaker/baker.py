@@ -65,14 +65,16 @@ def classical_orbit(pt: ClassicalPoint, steps: int) -> list[ClassicalPoint]:
 
 
 def baker_matrix(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
-    """Dense quantized map: F_L^{-1} . diag(F_{L-1}, F_{L-1})."""
+    """Dense quantized map: F_L^{-1} . diag(F_{L-1}, F_{L-1}), each column
+    half as that half of F_L^H (F_L conjugated in place) times F_{L-1}."""
     full = dft_matrix(qubits, max_qubits=max_qubits)
     half = dft_matrix(qubits - 1) if qubits > 1 else np.eye(1, dtype=np.complex128)
-    blocks = np.zeros_like(full)
+    inverse = np.conjugate(full, out=full).T
     d = half.shape[0]
-    blocks[:d, :d] = half
-    blocks[d:, d:] = half
-    return full.conj().T @ blocks
+    out = np.empty(full.shape, dtype=np.complex128)
+    np.matmul(inverse[:, :d], half, out=out[:, :d])
+    np.matmul(inverse[:, d:], half, out=out[:, d:])
+    return out
 
 
 @functools.lru_cache(maxsize=None)

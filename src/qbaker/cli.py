@@ -47,8 +47,8 @@ MATRIX_DUMP_LIMIT_LARGE = 12
 # fresh process, L = 18 and 20), to a file and to stdout alike.
 ITERATE_AMPLITUDE_BYTES = 64
 # Bytes of `baker --form matrix` per entry: building the dense matrix, then
-# the matrix while its JSON is streamed. Measured as 68 (68 by ru_maxrss)
-# at L = 9-11, to a file and to stdout alike.
+# the matrix while its JSON is streamed. Measured as 36 (37-45 by ru_maxrss
+# in a fresh process) at L = 9-11, to a file.
 MATRIX_ENTRY_BYTES = 96
 # Bytes per gate of `baker --form circuit`: the gates, the cached Fourier
 # networks they are built from, and the text. Measured as 304 (339 by

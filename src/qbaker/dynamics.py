@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .baker import baker_circuit, baker_matrix
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .gates import _apply_circuit_array, circuit_to_matrix
 from .qft import qft_circuit
 from .state import StateVector, random_state
@@ -36,7 +36,7 @@ POWER_TABLE_ENTRIES = 1 << 16
 
 def iterate(state: StateVector, steps: int, *, copy: bool = True) -> StateVector:
     """Apply the baker gate network `steps` times."""
-    if steps < 0:
+    if check_integer(steps, "step count") < 0:
         raise DomainError(f"step count must be >= 0, got {steps}")
     circuit = baker_circuit(state.qubits)
     arr = state.amplitudes.copy() if copy else state.amplitudes
@@ -89,25 +89,20 @@ def momentum_distribution(state: StateVector | np.ndarray) -> np.ndarray:
 
 
 def distribution_entropy(p: np.ndarray) -> float | np.ndarray:
-    """Shannon entropy in nats; zero entries contribute zero.
+    """Shannon entropy -sum_j p_j ln p_j in nats; a term whose p_j is not
+    positive (zero, negative or NaN) stays 0.
 
     A 2-D `p` holds one distribution per row and gives one entropy per row,
-    bitwise equal to the 1-D result for that row.
+    summed along the contiguous row, so bitwise equal to the 1-D result for
+    that row. Any other `p` is flattened.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = np.ascontiguousarray(p, dtype=np.float64)
     if p.ndim != 2:
-        nz = p[p > 0.0]
-        return float(-(nz * np.log(nz)).sum())
-    p = np.ascontiguousarray(p)
-    # Rows of positive entries sum along the contiguous axis exactly as a
-    # 1-D array does; rows with entries to drop take the 1-D path.
-    full = (p > 0.0).all(axis=1)
-    out = np.empty(p.shape[0])
-    rows = p[full]
-    out[full] = -(rows * np.log(rows)).sum(axis=1)
-    for i in np.flatnonzero(~full):
-        out[i] = distribution_entropy(p[i])
-    return out
+        p = p.reshape(-1)
+    positive = p > 0.0
+    terms = np.log(p, out=np.zeros_like(p), where=positive)
+    np.multiply(p, terms, out=terms, where=positive)
+    return -terms.sum(axis=-1)
 
 
 def form_factor(qubits: int, n_max: int) -> np.ndarray:
@@ -120,7 +115,7 @@ def form_factor(qubits: int, n_max: int) -> np.ndarray:
     cost hardly grows with n_max: about 0.15 s at 9 qubits out to the
     Heisenberg time, where one dense product takes 0.013 s.
     """
-    if n_max < 0:
+    if check_integer(n_max, "n_max") < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     # Allocated before any work, so an n_max numpy cannot hold fails at once.
     traces = np.empty(n_max, dtype=np.complex128)
@@ -221,6 +216,9 @@ class EchoConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name, what in (("qubits", "qubit count"), ("steps", "step count"),
+                           ("ensemble", "ensemble size"), ("seed", "seed")):
+            object.__setattr__(self, name, check_integer(getattr(self, name), what))
         if self.qubits < 1:
             raise DomainError(f"qubit count must be >= 1, got {self.qubits}")
         if self.steps < 0:
@@ -284,7 +282,9 @@ def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
 
     Each batch of M members is one (D, 1 + M) array: column 0 is the
     unperturbed trajectory, kicked by zero angles, and columns 1..M the
-    members. The output is bitwise reproducible from the config. Below
+    members. Each step is recorded from one contiguous copy of the columns
+    as rows: fidelities, norms and position probabilities come from those
+    rows. The output is bitwise reproducible from the config. Below
     `gates.FUSE_MIN_QUBITS` every column gets the bits it would get evolved
     on its own, so the output is also independent of batching; from there on
     the execution plan is built from dense blocks, and every column agrees
@@ -312,15 +312,15 @@ def _echo_batch(cfg: EchoConfig, members: range) -> list[TrajectoryRecord]:
     norms = np.empty((1 + count, n))
 
     def record(t: int) -> None:
-        # Fidelities and norms reduce each column's contiguous row, as a
-        # (D,) state does; one squared norm per row serves both.
+        # Every reduction reads a column's contiguous row, as a (D,) state
+        # does; one squared norm per row serves fidelity and norm.
         rows = np.ascontiguousarray(cols.T)
         sq = np.array([np.vdot(row, row).real for row in rows])
         norms[:, t] = np.sqrt(sq)
         for i in range(1, 1 + count):
             z = np.vdot(rows[0], rows[i])
             fid[i - 1, t] = (z.real * z.real + z.imag * z.imag) / (sq[0] * sq[i])
-        pos_ent[:, t] = distribution_entropy(position_distribution(cols[:, 1:]).T)
+        pos_ent[:, t] = distribution_entropy(position_distribution(rows[1:].T).T)
         mom_ent[:, t] = distribution_entropy(momentum_distribution(cols[:, 1:]).T)
 
     record(0)

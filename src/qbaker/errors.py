@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check of count arguments, shared
+across the package."""
+import operator
 
 
 class DomainError(ValueError):
@@ -12,3 +14,13 @@ class SizeError(DomainError):
 
 class ParseError(ValueError):
     """Malformed state or manifest file."""
+
+
+def check_integer(value, what: str) -> int:
+    """`value` as an int: any integer, numpy's included, but not a bool."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")

@@ -24,7 +24,7 @@ import os
 import re
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Any
 
@@ -37,8 +37,9 @@ from .kernels import get_num_threads
 from .state import StateVector
 
 
-def _atomic_write_text(chunks: Iterable[str], path: str) -> None:
-    """Write through a temp file beside `path`; an OSError names `path`."""
+def write_text_file(chunks: Iterable[str], path: str) -> None:
+    """Write the joined text chunks to `path` atomically, through a temp file
+    beside it that a failure removes; an OSError names `path`."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
@@ -65,11 +66,6 @@ def _json_object(text: str, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must hold a JSON object")
     return obj
-
-
-def write_text_file(chunks: Iterable[str], path: str) -> None:
-    """Write the concatenation of the text chunks to `path`, atomically."""
-    _atomic_write_text(chunks, path)
 
 
 # [re, im] pairs encoded per slice, about 200 KB of text. With 256 to 4096
@@ -202,7 +198,7 @@ def state_from_json(text: str) -> StateVector:
 
 
 def write_state(state: StateVector, path: str) -> None:
-    _atomic_write_text(itertools.chain(state_json_chunks(state), ("\n",)), path)
+    write_text_file(itertools.chain(state_json_chunks(state), ("\n",)), path)
 
 
 def read_state(path: str) -> StateVector:
@@ -282,18 +278,7 @@ class RunManifest:
     threads: int | None = field(default_factory=get_num_threads)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "params": self.params,
-                "version": self.version,
-                "seed": self.seed,
-                "timestamp": self.timestamp,
-                "numpy": self.numpy,
-                "threads": self.threads,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -303,8 +288,7 @@ class RunManifest:
                 raise ParseError(f"manifest missing field {key!r}")
         if not isinstance(obj["params"], dict):
             raise ParseError("manifest field 'params' must hold a JSON object")
-        return cls(obj["command"], obj["params"], obj["version"], obj.get("seed"), obj["timestamp"],
-                   obj.get("numpy"), obj.get("threads"))
+        return cls(**{f.name: obj.get(f.name) for f in fields(cls)})
 
 
 def manifest_path(out_path: str) -> str:
@@ -312,7 +296,7 @@ def manifest_path(out_path: str) -> str:
 
 
 def write_manifest(manifest: RunManifest, out_path: str) -> None:
-    _atomic_write_text((manifest.to_json(), "\n"), manifest_path(out_path))
+    write_text_file((manifest.to_json(), "\n"), manifest_path(out_path))
 
 
 def read_manifest(path: str) -> RunManifest:

@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import ctypes
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -103,12 +102,7 @@ def set_num_threads(n: int) -> None:
     calling thread.
     """
     global _num_threads, _pool
-    try:
-        count = operator.index(n)
-    except TypeError:
-        count = None
-    if count is None or isinstance(n, bool):
-        raise DomainError(f"thread count must be an integer, got {n!r}")
+    count = check_integer(n, "thread count")
     if count < 1:
         raise DomainError(f"thread count must be >= 1, got {count}")
     _renew_after_fork()

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from qbaker import (
     elide_swaps,
     gate_count,
     iterate,
+    kernels,
     random_state,
 )
 
@@ -110,6 +114,49 @@ def test_baker_matrix_two_qubits_independent_assembly():
 def test_baker_matrix_unitarity():
     mat = baker_matrix(3)
     assert np.linalg.norm(mat.conj().T @ mat - np.eye(8)) <= 1e-12
+
+
+# sha256 of baker_matrix(L).tobytes(), the same at 1 and 2 OpenBLAS threads.
+BAKER_MATRIX_SHA256 = {
+    1: "7caa015c1dfafa0faf4b71d3cd01135d6783b31384731f2d0e50b97cb3589d26",
+    2: "1b41329b5d0d1a1dff106cc853359450557cde96f8f2a2374dc8cbe8b463f8b6",
+    3: "c2ac5658d750efe9ab39f0a05368db2883c6191a4e92cb5762ca38529b2b14df",
+    4: "f223504eb414f89ac1a81c1e16567bde685357834005d98fccd84345fd2bd55c",
+    5: "33d0df8785fd50ee7b6ac4fee6832f9c20044232e08583724157a3d21eb70ec3",
+    6: "4fab76708c231eeaa7b123a689b9b10e5053a2185ab19d12c4a4711b56a7fb61",
+    7: "c9def1b54499a3906c3e3af7c5b878f92fd9895ec8c5e33114762a260283f417",
+    8: "a1d2020616a42a9523ebc949676cabd2cfe2261d4be52d304582eeeb626ad052",
+    9: "4cca2ec110b8de42230939ef846d32d8efa56dba670b7835f5c6e3f1b0e69a5d",
+    10: "bc5b7b85cfc8520f0289eeb92f9c365af7c2858d06741be8a75c56be83128977",
+}
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_baker_matrix_bytes_are_pinned(blas_threads):
+    blas = kernels._openblas()
+    found = blas and blas[1]()
+    try:
+        if blas:
+            blas[0](blas_threads)
+        digests = {L: hashlib.sha256(baker_matrix(L).tobytes()).hexdigest()
+                   for L in BAKER_MATRIX_SHA256}
+    finally:
+        if blas:
+            blas[0](found)
+            blas[2]()   # setting the count starts the helpers
+    assert digests == BAKER_MATRIX_SHA256
+
+
+def test_baker_matrix_peak_is_two_and_a_quarter_matrices():
+    # The full transform, conjugated in place, the half one and the output.
+    tracemalloc.start()
+    try:
+        mat = baker_matrix(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.flags.c_contiguous
+    assert peak <= 2.3 * mat.nbytes
 
 
 def test_baker_matrix_size_guard():

@@ -493,6 +493,26 @@ def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("argv, replayed", [
+    (("iterate", "--qubits", "3", "--basis", "5", "--steps", "2"),
+     ["iterate", "--qubits", "3", "--basis", "5", "--steps", "2"]),
+    (("baker", "--qubits", "2", "--form", "matrix", "--allow-large"),
+     ["baker", "--qubits", "2", "--form", "matrix", "--allow-large"]),
+    (("baker", "--qubits", "2", "--form", "matrix"),
+     ["baker", "--qubits", "2", "--form", "matrix"]),
+], ids=["None param", "True param", "False param"])
+def test_manifest_replay_of_flag_params_reproduces_bytes(tmp_path, capsys, argv, replayed):
+    # None and False params are left out of the replayed command line, and
+    # a True one becomes its bare flag.
+    first, second = tmp_path / "a.out", tmp_path / "b.out"
+    assert main([*argv, "--out", str(first)]) == 0
+    manifest = read_manifest(manifest_path(str(first)))
+    assert manifest_to_argv(manifest, out=str(second)) == [*replayed, "--out", str(second)]
+    assert main(manifest_to_argv(manifest, out=str(second))) == 0
+    capsys.readouterr()
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_formfactor_csv(tmp_path, capsys):
     out = tmp_path / "ff.csv"
     code, _, _ = run(

@@ -400,6 +400,28 @@ def test_echo_config_validation():
             EchoConfig(2, 1, delta, 1, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: loschmidt_echo(EchoConfig(3, 2, 0.1, 2, 1.5)), "seed must be an integer, got 1.5"),
+    (lambda: loschmidt_echo(EchoConfig(3.0, 2, 0.1, 2, 1)), "qubit count must be an integer"),
+    (lambda: EchoConfig(3, 2.0, 0.1, 2, 1), "step count must be an integer"),
+    (lambda: EchoConfig(3, 2, 0.1, True, 1), "ensemble size must be an integer, got True"),
+    (lambda: iterate(basis_state(2, 0), 1.5), "step count must be an integer, got 1.5"),
+    (lambda: form_factor(3, 2.5), "n_max must be an integer, got 2.5"),
+], ids=["echo seed", "echo qubits", "echo steps", "echo ensemble", "iterate", "form factor"])
+def test_count_arguments_must_be_integers(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_count_arguments_take_numpy_integers():
+    cfg = EchoConfig(np.int64(3), np.int32(2), 0.1, np.uint8(2), np.uint64(7))
+    assert echo_records_to_csv(loschmidt_echo(cfg)) == echo_records_to_csv(
+        loschmidt_echo(EchoConfig(3, 2, 0.1, 2, 7)))
+    s = random_state(3, 0)
+    assert np.array_equal(iterate(s, np.int64(2)).amplitudes, iterate(s, 2).amplitudes)
+    assert np.array_equal(form_factor(3, np.int16(4)), form_factor(3, 4))
+
+
 def test_echo_zero_delta_fidelity_exactly_one():
     cfg = EchoConfig(qubits=3, steps=12, delta=0.0, ensemble=3, seed=42)
     for rec in loschmidt_echo(cfg):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qbaker import (
     Circuit,
     DomainError,
+    Gate,
     GateKind,
     SizeError,
     a_gate,
@@ -15,6 +16,7 @@ from qbaker import (
     apply_gate,
     b_angle,
     b_gate,
+    baker_circuit,
     basis_state,
     circuit_to_matrix,
     concat,
@@ -89,6 +91,27 @@ def test_gate_label_validation():
         b_gate(0, 0)
     with pytest.raises(DomainError):
         b_gate(0, 1, span=0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Gate(GateKind.A, -1), "non-negative"),
+    (lambda: Gate(GateKind.B, 0, -1), "non-negative"),
+    (lambda: Gate(GateKind.A, 0, 1), "single qubit"),
+    (lambda: Gate(GateKind.A, 0, conjugated=True), "A has no conjugated variant"),
+    (lambda: Gate(GateKind.SWAP, 0, 1, conjugated=True), "Swap has no conjugated variant"),
+    (lambda: Gate(GateKind.A, 0, span=1), "A carries no phase exponent"),
+    (lambda: Gate(GateKind.SWAP, 0, 1, span=1), "SWAP carries no phase exponent"),
+    (lambda: b_angle(a_gate(0)), "B gates only"),
+    (lambda: Circuit(0, ()), "qubit count must be >= 1, got 0"),
+    (lambda: concat(Circuit(2, ()), Circuit(3, ())), "different widths"),
+    (lambda: baker_circuit(0), "qubit count must be >= 1, got 0"),
+    (lambda: qft_circuit(0), "qubit count must be >= 1, got 0"),
+], ids=["negative A label", "negative B label", "A with two labels", "conjugated A",
+        "conjugated SWAP", "span on A", "span on SWAP", "b_angle of A", "no qubits",
+        "concat widths", "baker no qubits", "qft no qubits"])
+def test_invalid_gates_and_circuits_are_domain_errors(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 # --- circuits --------------------------------------------------------------

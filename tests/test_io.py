@@ -327,6 +327,8 @@ def test_state_malformed_entries():
         state_from_json('{"qubits": 1, "amplitudes": [[1.0, 0.0], [0, 1' + "0" * 400 + ']]}')
     with pytest.raises(ParseError):
         state_from_json("not json")
+    with pytest.raises(ParseError, match="'amplitudes': expected a list"):
+        state_from_json('{"qubits": 1, "amplitudes": {"0": [1.0, 0.0], "1": [0.0, 0.0]}}')
     with pytest.raises(ParseError, match=r"expected 2\^2 = 4 entries, got 1"):
         state_from_json('{"qubits": 2, "amplitudes": [[1.0, 0.0]]}')
     # A huge qubit count is refused without building 2^qubits.
@@ -433,3 +435,31 @@ def test_form_factor_csv_strict():
 def test_manifest_reader_rejects_malformed_input(text, message):
     with pytest.raises(ParseError, match=message):
         io.RunManifest.from_json(text)
+
+
+def test_manifest_json_bytes_are_pinned():
+    manifest = io.RunManifest(
+        "iterate", {"qubits": 3, "state": None, "basis": 5, "steps": 2, "out": "s.json"},
+        "0.1.0", None, "2026-01-01T00:00:00+00:00", "2.4.6", 2)
+    text = manifest.to_json()
+    assert text == (
+        '{\n  "command": "iterate",\n  "params": {\n    "qubits": 3,\n    "state": null,\n'
+        '    "basis": 5,\n    "steps": 2,\n    "out": "s.json"\n  },\n  "version": "0.1.0",\n'
+        '  "seed": null,\n  "timestamp": "2026-01-01T00:00:00+00:00",\n  "numpy": "2.4.6",\n'
+        '  "threads": 2\n}'
+    )
+    assert io.RunManifest.from_json(text) == manifest
+
+
+def test_write_text_file_leaves_no_temp_file_when_the_chunks_fail(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("before")
+
+    def chunks():
+        yield "partial"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        io.write_text_file(chunks(), str(path))
+    assert path.read_text() == "before"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

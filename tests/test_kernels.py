@@ -64,6 +64,19 @@ def test_swap_bits_permutes_indices():
         assert arr[j] == src
 
 
+@pytest.mark.parametrize("kernel, args", [(cond_phase, (0.7,)), (swap_bits, ())])
+def test_two_label_kernels_take_labels_in_either_order(kernel, args):
+    rng = np.random.default_rng(4)
+    arr = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    low_first, high_first = arr.copy(), arr.copy()
+    kernel(low_first, 3, 0, 2, *args)
+    kernel(high_first, 3, 2, 0, *args)
+    assert np.array_equal(high_first, low_first)
+    assert not np.array_equal(low_first, arr)
+    with pytest.raises(DomainError, match="two distinct qubits"):
+        kernel(arr, 3, 1, 1, *args)
+
+
 def test_phase_on_one():
     arr = np.ones(4, dtype=complex)
     phase_on_one(arr, 2, 1, np.pi / 2)
