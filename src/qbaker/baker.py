@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .gates import (
     MAX_DENSE_QUBITS,
     Circuit,
@@ -55,8 +55,7 @@ def classical_step(pt: ClassicalPoint) -> ClassicalPoint:
 
 def classical_orbit(pt: ClassicalPoint, steps: int) -> list[ClassicalPoint]:
     """Trajectory [pt, T(pt), ..., T^steps(pt)]."""
-    if steps < 0:
-        raise DomainError(f"step count must be >= 0, got {steps}")
+    steps = check_count(steps, "step count", 0)
     orbit = [pt]
     for _ in range(steps):
         pt = classical_step(pt)
@@ -77,7 +76,7 @@ def baker_matrix(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarr
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def baker_circuit(qubits: int) -> Circuit:
     """Gate network for one iteration of the quantized map.
 
@@ -85,8 +84,7 @@ def baker_circuit(qubits: int) -> Circuit:
     qubits, then the daggered full Fourier network. For one qubit the
     half-size transform is the scalar 1 and the block stage is empty.
     """
-    if qubits < 1:
-        raise DomainError(f"qubit count must be >= 1, got {qubits}")
+    qubits = check_count(qubits, "qubit count", 1)
     inverse_stage = dagger(qft_circuit(qubits))
     if qubits == 1:
         return inverse_stage

@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from . import __version__, io, kernels
 from .baker import ClassicalPoint, baker_circuit, baker_matrix, classical_step
 from .dynamics import EchoConfig, echo_batch_size, form_factor, iterate, loschmidt_echo
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, check_count
 from .gates import MAX_DENSE_QUBITS
 from .qft import qft_residual
 from .state import NORM_TOL, basis_state
@@ -181,8 +181,7 @@ def _check_memory(args: argparse.Namespace) -> None:
     """Refuse a request whose peak bytes exceed physical memory, before any work."""
     if args.command not in _PEAK_BYTES:
         return
-    if args.qubits < 1:
-        raise DomainError(f"qubit count must be >= 1, got {args.qubits}")
+    check_count(args.qubits, "qubit count", 1)
     need = _PEAK_BYTES[args.command](args)
     have = _physical_memory_bytes()
     if need > have:
@@ -224,8 +223,7 @@ def cmd_formfactor(args: argparse.Namespace) -> int:
 
 def cmd_classical(args: argparse.Namespace) -> int:
     pt = ClassicalPoint(args.q, args.p)
-    if args.steps < 0:
-        raise DomainError(f"step count must be >= 0, got {args.steps}")
+    check_count(args.steps, "step count", 0)
     # One line per step as it is computed, so memory stays flat in --steps.
     for _ in range(args.steps):
         pt = classical_step(pt)

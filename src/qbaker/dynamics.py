@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .baker import baker_circuit, baker_matrix
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_count
 from .gates import _apply_circuit_array, circuit_to_matrix
 from .qft import qft_circuit
 from .state import StateVector, random_state
@@ -36,8 +36,7 @@ POWER_TABLE_ENTRIES = 1 << 16
 
 def iterate(state: StateVector, steps: int, *, copy: bool = True) -> StateVector:
     """Apply the baker gate network `steps` times."""
-    if check_integer(steps, "step count") < 0:
-        raise DomainError(f"step count must be >= 0, got {steps}")
+    steps = check_count(steps, "step count", 0)
     circuit = baker_circuit(state.qubits)
     arr = state.amplitudes.copy() if copy else state.amplitudes
     for _ in range(steps):
@@ -115,8 +114,7 @@ def form_factor(qubits: int, n_max: int) -> np.ndarray:
     cost hardly grows with n_max: about 0.15 s at 9 qubits out to the
     Heisenberg time, where one dense product takes 0.013 s.
     """
-    if check_integer(n_max, "n_max") < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = check_count(n_max, "n_max", 0)
     # Allocated before any work, so an n_max numpy cannot hold fails at once.
     traces = np.empty(n_max, dtype=np.complex128)
     if n_max <= FORM_FACTOR_DIRECT_MAX:
@@ -200,6 +198,8 @@ def phase_kick(state: StateVector, angles: np.ndarray) -> StateVector:
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (state.qubits,):
         raise DomainError(f"need one angle per qubit, got shape {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise DomainError(f"angles must be finite, got {angles}")
     arr = state.amplitudes.copy()
     _kick(arr, state.qubits, angles)
     return StateVector(state.qubits, arr)
@@ -216,20 +216,14 @@ class EchoConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        for name, what in (("qubits", "qubit count"), ("steps", "step count"),
-                           ("ensemble", "ensemble size"), ("seed", "seed")):
-            object.__setattr__(self, name, check_integer(getattr(self, name), what))
-        if self.qubits < 1:
-            raise DomainError(f"qubit count must be >= 1, got {self.qubits}")
-        if self.steps < 0:
-            raise DomainError(f"step count must be >= 0, got {self.steps}")
+        for name, what, least in (("qubits", "qubit count", 1), ("steps", "step count", 0),
+                                  ("ensemble", "ensemble size", 1), ("seed", "seed", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), what, least))
         # Kicks are drawn from [-delta, delta], a range of width 2 * delta.
         if not (self.delta >= 0.0 and math.isfinite(2.0 * self.delta)):
             raise DomainError(
                 f"perturbation strength must be >= 0 with 2 * delta finite, got {self.delta}")
-        if self.ensemble < 1:
-            raise DomainError(f"ensemble size must be >= 1, got {self.ensemble}")
-        if not 0 <= self.seed < 2**64:
+        if self.seed >= 2**64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
 
 

@@ -1,5 +1,11 @@
-"""Exception types, and the integer check of count arguments, shared
-across the package."""
+"""Exception types, and the checks of integer arguments, shared across the
+package.
+
+Counts, qubit labels and basis indices are Python or numpy integers:
+`check_integer` refuses a bool, a float or any other non-integer, and
+`check_count` also refuses a value below the argument's bound. Both raise
+`DomainError` naming the argument and return the value as a Python int.
+"""
 import operator
 
 
@@ -24,3 +30,11 @@ def check_integer(value, what: str) -> int:
     except TypeError:
         pass
     raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def check_count(value, what: str, least: int) -> int:
+    """`value` as an int (see `check_integer`) that is at least `least`."""
+    count = check_integer(value, what)
+    if count < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    return count

@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, check_count, check_integer
 from .state import StateVector
 
 MAX_DENSE_QUBITS = 10
@@ -77,7 +77,7 @@ class Gate:
     span: int | None = None
 
     def __post_init__(self) -> None:
-        if self.m < 0 or (self.n is not None and self.n < 0):
+        if any(check_integer(q, "qubit label") < 0 for q in self.labels()):
             raise DomainError("qubit labels must be non-negative")
         if self.kind is GateKind.A:
             if self.n is not None:
@@ -90,10 +90,8 @@ class Gate:
             if self.kind is GateKind.SWAP and self.conjugated:
                 raise DomainError("Swap has no conjugated variant")
         if self.kind is GateKind.B:
-            if self.span is None:
-                object.__setattr__(self, "span", self.n - self.m)
-            elif self.span < 1:
-                raise DomainError(f"phase exponent must be >= 1, got {self.span}")
+            span = self.n - self.m if self.span is None else check_count(self.span, "phase exponent", 1)
+            object.__setattr__(self, "span", span)
         elif self.span is not None:
             raise DomainError(f"{self.kind.value} carries no phase exponent")
 
@@ -165,13 +163,10 @@ class Circuit:
     relabel: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.qubits < 1:
-            raise DomainError(f"qubit count must be >= 1, got {self.qubits}")
+        object.__setattr__(self, "qubits", check_count(self.qubits, "qubit count", 1))
         object.__setattr__(self, "gates", tuple(self.gates))
-        relabel = self.relabel
-        if relabel is None:
-            relabel = identity_permutation(self.qubits)
-        relabel = tuple(relabel)
+        relabel = identity_permutation(self.qubits) if self.relabel is None else self.relabel
+        relabel = tuple(check_integer(q, "relabel entry") for q in relabel)
         if sorted(relabel) != list(range(self.qubits)):
             raise DomainError(f"relabel {relabel} is not a permutation of 0..{self.qubits - 1}")
         object.__setattr__(self, "relabel", relabel)

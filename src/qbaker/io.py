@@ -265,6 +265,19 @@ def form_factor_to_csv(values: np.ndarray) -> str:
 # Run manifests: written next to every output file; replaying one must
 # reproduce the data bytes (timestamp aside).
 
+# The JSON types each manifest field may hold, as Python types and in words.
+# A bool is not an integer here.
+_MANIFEST_TYPES = {
+    "command": ((str,), "a string"),
+    "params": ((dict,), "a JSON object"),
+    "version": ((str,), "a string"),
+    "seed": ((int, type(None)), "an integer or null"),
+    "timestamp": ((str,), "a string"),
+    "numpy": ((str, type(None)), "a string or null"),
+    "threads": ((int, type(None)), "an integer or null"),
+}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     command: str
@@ -286,8 +299,9 @@ class RunManifest:
         for key in ("command", "params", "version", "timestamp"):
             if key not in obj:
                 raise ParseError(f"manifest missing field {key!r}")
-        if not isinstance(obj["params"], dict):
-            raise ParseError("manifest field 'params' must hold a JSON object")
+        for key, (types, words) in _MANIFEST_TYPES.items():
+            if type(obj.get(key)) not in types:
+                raise ParseError(f"manifest field {key!r} must hold {words}")
         return cls(**{f.name: obj.get(f.name) for f in fields(cls)})
 
 

@@ -43,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_count
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -102,9 +102,7 @@ def set_num_threads(n: int) -> None:
     calling thread.
     """
     global _num_threads, _pool
-    count = check_integer(n, "thread count")
-    if count < 1:
-        raise DomainError(f"thread count must be >= 1, got {count}")
+    count = check_count(n, "thread count", 1)
     _renew_after_fork()
     with _lock:
         if _pool is not None and count != _num_threads:

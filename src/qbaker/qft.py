@@ -23,7 +23,7 @@ import functools
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, check_count
 from .gates import (
     MAX_DENSE_QUBITS,
     Circuit,
@@ -41,8 +41,7 @@ def dft_matrix(qubits: int, *, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray
     argument stays within 2 pi and every entry is within about 1e-16 of
     numpy's FFT.
     """
-    if qubits < 1:
-        raise DomainError(f"qubit count must be >= 1, got {qubits}")
+    qubits = check_count(qubits, "qubit count", 1)
     if qubits > max_qubits:
         raise SizeError(f"dense transform refused for {qubits} qubits (limit {max_qubits})")
     dim = 1 << qubits
@@ -57,11 +56,10 @@ def _bit_reversal_pairs(qubits: int) -> list[tuple[int, int]]:
     return [(i, qubits - 1 - i) for i in range(qubits // 2)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def qft_circuit(qubits: int) -> Circuit:
     """Gate network realizing the dense transform on `qubits` qubits."""
-    if qubits < 1:
-        raise DomainError(f"qubit count must be >= 1, got {qubits}")
+    qubits = check_count(qubits, "qubit count", 1)
     gates = []
     for m in range(qubits - 1, -1, -1):
         for n in range(qubits - 1, m, -1):
@@ -72,7 +70,7 @@ def qft_circuit(qubits: int) -> Circuit:
     return Circuit(qubits, tuple(gates))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def qft_block_circuit(qubits: int, low_qubits: int | None = None) -> Circuit:
     """Network applying the transform to qubits 0..qubits-2 only: the block
     stage of the map.
@@ -81,8 +79,7 @@ def qft_block_circuit(qubits: int, low_qubits: int | None = None) -> Circuit:
     block diagonal with 2 identical blocks. `low_qubits`, if given, must
     be qubits - 1.
     """
-    if qubits < 2:
-        raise DomainError(f"qubit count must be >= 2, got {qubits}")
+    qubits = check_count(qubits, "qubit count", 2)
     if low_qubits not in (None, qubits - 1):
         raise DomainError(f"low_qubits must be {qubits - 1}, got {low_qubits}")
     return Circuit(qubits, qft_circuit(qubits - 1).gates)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_integer
 
 NORM_TOL = 1e-6  # sanity threshold for "this state should be normalized"
 
@@ -24,8 +24,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.qubits < 1:
-            raise DomainError(f"qubit count must be >= 1, got {self.qubits}")
+        object.__setattr__(self, "qubits", check_count(self.qubits, "qubit count", 1))
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.qubits,):
             raise DomainError(
@@ -39,6 +38,8 @@ class StateVector:
 
 def basis_state(qubits: int, j: int) -> StateVector:
     """Return the position eigenstate with index j."""
+    qubits = check_count(qubits, "qubit count", 1)
+    j = check_integer(j, "basis index")
     if not 0 <= j < (1 << qubits):
         raise DomainError(f"basis index {j} outside [0, 2^{qubits})")
     amps = np.zeros(1 << qubits, dtype=np.complex128)
@@ -48,6 +49,7 @@ def basis_state(qubits: int, j: int) -> StateVector:
 
 def random_state(qubits: int, rng: np.random.Generator | int | None = None) -> StateVector:
     """Haar-like random normalized state (complex Gaussian entries)."""
+    qubits = check_count(qubits, "qubit count", 1)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     d = 1 << qubits

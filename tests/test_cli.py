@@ -358,6 +358,12 @@ def test_qubit_count_below_one_is_one_line_error(capsys, command, qubits):
     assert err == f"error: qubit count must be >= 1, got {qubits}\n"
 
 
+def test_negative_echo_seed_is_one_line_error(capsys):
+    code, stdout, err = run(capsys, "echo", "--qubits", "3", "--steps", "1", "--delta", "0.1",
+                            "--ensemble", "1", "--seed", "-1")
+    assert (code, stdout, err) == (1, "", "error: seed must be >= 0, got -1\n")
+
+
 def test_qft_check_refuses_before_building_the_network(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("network built past the dense size guard")

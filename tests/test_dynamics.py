@@ -11,13 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbaker import (
+    Circuit,
+    ClassicalPoint,
     DomainError,
     EchoConfig,
     SizeError,
+    StateVector,
     TrajectoryRecord,
+    a_gate,
+    b_gate,
     baker_circuit,
     baker_matrix,
     basis_state,
+    classical_orbit,
     dft_matrix,
     distribution_entropy,
     echo_initial_state,
@@ -27,10 +33,12 @@ from qbaker import (
     momentum_distribution,
     phase_kick,
     position_distribution,
+    qft_block_circuit,
+    qft_circuit,
     random_state,
 )
 from qbaker import dynamics
-from qbaker.io import echo_records_to_csv
+from qbaker.io import circuit_to_text, echo_records_to_csv
 
 from oracles import echo_member_replay
 
@@ -367,6 +375,12 @@ def test_phase_kick_validates_angle_count():
         phase_kick(basis_state(3, 0), np.zeros(2))
 
 
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_phase_kick_refuses_non_finite_angles(angle):
+    with pytest.raises(DomainError, match="angles must be finite"):
+        phase_kick(basis_state(2, 0), [angle, 0.0])
+
+
 def test_perturbed_step_matches_dense_oracle():
     # one kicked map step via gates equals (kick matrix . map matrix) applied densely
     rng = np.random.default_rng(13)
@@ -420,6 +434,45 @@ def test_count_arguments_take_numpy_integers():
     s = random_state(3, 0)
     assert np.array_equal(iterate(s, np.int64(2)).amplitudes, iterate(s, 2).amplitudes)
     assert np.array_equal(form_factor(3, np.int16(4)), form_factor(3, 4))
+    assert circuit_to_text(qft_circuit(np.int64(3))) == circuit_to_text(qft_circuit(3))
+    assert baker_circuit(np.int32(3)) == baker_circuit(3)
+    made = [qft_circuit(np.int64(3)), baker_circuit(np.uint8(3)), StateVector(np.int64(2), s.amplitudes[:4]),
+            basis_state(np.int16(3), np.int64(5)), Circuit(np.int64(2), (), (np.int64(1), np.int64(0)))]
+    for obj in made:
+        assert type(obj.qubits) is int
+    assert np.array_equal(made[3].amplitudes, basis_state(3, 5).amplitudes)
+    assert all(type(q) is int for q in made[4].relabel)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: classical_orbit(ClassicalPoint(0.1, 0.2), 1.5), "step count must be an integer, got 1.5"),
+    (lambda: random_state(3.0, 1), "qubit count must be an integer, got 3.0"),
+    (lambda: random_state(-1, 1), "qubit count must be >= 1, got -1"),
+    (lambda: dft_matrix(2.0), "qubit count must be an integer, got 2.0"),
+    (lambda: dft_matrix(True), "qubit count must be an integer, got True"),
+    (lambda: qft_circuit(2.0), "qubit count must be an integer, got 2.0"),
+    (lambda: qft_circuit(True), "qubit count must be an integer, got True"),
+    (lambda: basis_state(3, 2.0), "basis index must be an integer, got 2.0"),
+    (lambda: basis_state(3, True), "basis index must be an integer, got True"),
+    (lambda: StateVector(True, [1, 0]), "qubit count must be an integer, got True"),
+    (lambda: a_gate(1.5), "qubit label must be an integer, got 1.5"),
+    (lambda: b_gate(0, 1, span=1.5), "phase exponent must be an integer, got 1.5"),
+    (lambda: Circuit(2, (), (0.0, 1.0)), "relabel entry must be an integer, got 0.0"),
+])
+def test_integer_arguments_refuse_other_values(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("builder, cached, refused", [
+    (qft_circuit, np.int64(1), True),
+    (baker_circuit, np.int64(1), True),
+    (qft_block_circuit, np.int64(2), 2.0),
+])
+def test_cached_builders_check_a_value_equal_to_a_cached_one(builder, cached, refused):
+    builder(cached)
+    with pytest.raises(DomainError, match=f"got {refused}"):
+        builder(refused)
 
 
 def test_echo_zero_delta_fidelity_exactly_one():

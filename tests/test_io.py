@@ -431,6 +431,22 @@ def test_form_factor_csv_strict():
     ('{"command": "iterate", "params": {}, "version": "1"}', "missing field 'timestamp'"),
     ("{", "not valid JSON"),
     pytest.param("[" * 100000, "nested too deeply", id="deeply nested"),
+    ('{"command": 5, "params": {}, "version": "x", "timestamp": "t"}',
+     "'command' must hold a string"),
+    ('{"command": "iterate", "params": {}, "version": 3, "timestamp": "t"}',
+     "'version' must hold a string"),
+    ('{"command": "iterate", "params": {}, "version": "1", "timestamp": null}',
+     "'timestamp' must hold a string"),
+    ('{"command": "iterate", "params": {}, "version": "1", "timestamp": "t", "seed": "abc"}',
+     "'seed' must hold an integer or null"),
+    ('{"command": "echo", "params": {}, "version": "1", "timestamp": "t", "seed": true}',
+     "'seed' must hold an integer or null"),
+    ('{"command": "iterate", "params": {}, "version": "1", "timestamp": "t", "threads": [1]}',
+     "'threads' must hold an integer or null"),
+    ('{"command": "iterate", "params": {}, "version": "1", "timestamp": "t", "threads": 1.0}',
+     "'threads' must hold an integer or null"),
+    ('{"command": "iterate", "params": {}, "version": "1", "timestamp": "t", "numpy": 2}',
+     "'numpy' must hold a string or null"),
 ])
 def test_manifest_reader_rejects_malformed_input(text, message):
     with pytest.raises(ParseError, match=message):
