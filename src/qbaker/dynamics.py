@@ -18,9 +18,8 @@ from .baker import baker_circuit, baker_matrix
 from .errors import DomainError, check_count
 from .gates import _apply_circuit_array, circuit_to_matrix
 from .qft import qft_circuit
-from .state import StateVector, random_state
+from .state import NORM_TOL, StateVector, random_state
 
-DIST_NORM_TOL = 1e-6
 # `form_factor` takes n_max - 1 dense products up to this n_max and one
 # `eigh` beyond it. The `eigh` route costs as much as about 13 products at
 # 9 qubits, 16 at 10 and 22 at 8.
@@ -59,7 +58,7 @@ def _amplitude_columns(state: StateVector | np.ndarray) -> tuple[int, np.ndarray
 def _checked_probabilities(amps: np.ndarray) -> np.ndarray:
     p = np.abs(amps) ** 2
     total = p.sum(axis=0)
-    bad = ~(np.abs(total - 1.0) <= DIST_NORM_TOL)  # NaN totals fail too
+    bad = ~(np.abs(total - 1.0) <= NORM_TOL)  # NaN totals fail too
     if np.any(bad):
         raise DomainError(
             f"state is not normalized (total probability {np.extract(bad, total)[0]!r})"

@@ -16,17 +16,16 @@ operator product written right-to-left perform that one reversal
 themselves, so nothing else reasons about product order.
 
 Every circuit application goes through ``_apply_circuit_array``, which
-runs a cached execution plan: the swap-elided circuit grouped into runs
-of gates that act inside chunks of 2^k consecutive basis rows (every B
-gate, and A on a label below k), each run applied chunk by chunk while
-the chunk is in cache. An A gate on a label m >= k runs alone in chunks
-of 2^(m+1) rows. An array of fewer than two chunks of
+runs a cached execution plan: the swap-elided circuit as steps of
+operations on chunks of 2^k consecutive basis rows, each step applied
+chunk by chunk while the chunk is in cache (_plan states how operations
+are grouped into steps). An array of fewer than two chunks of
 ``CHUNK_AMPLITUDES`` amplitudes is one chunk. Below ``FUSE_MIN_QUBITS``
 the result is bitwise equal to applying the gates one by one to the whole
 array, and each column of a (D, M) array gets the bits of a lone state.
 
 From ``FUSE_MIN_QUBITS`` on, the plan is built from dense blocks instead
-(see _blocks and _block_steps), by commutation rules on the gate list
+(see _blocks and _block_ops), by commutation rules on the gate list
 alone: each block is a diagonal of B gates, applied as phase tables over
 bit spans, phases folded into the block's unitary and whole-chunk phases,
 then one 2^4 x 2^4 unitary on a window of 4 adjacent labels,
@@ -42,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,6 +79,9 @@ class Gate:
     def __post_init__(self) -> None:
         if any(check_integer(q, "qubit label") < 0 for q in self.labels()):
             raise DomainError("qubit labels must be non-negative")
+        if not isinstance(self.conjugated, (bool, np.bool_)):
+            raise DomainError(f"conjugated must be a bool, got {self.conjugated!r}")
+        object.__setattr__(self, "conjugated", bool(self.conjugated))
         if self.kind is GateKind.A:
             if self.n is not None:
                 raise DomainError("A acts on a single qubit")
@@ -321,7 +324,7 @@ def _diagonal_op(terms: list[tuple[int, int, Gate]], a: int, b: int, mask: int =
     return (_DIAGONAL, a, 0, table, mask)
 
 
-def _blocks(gates: tuple[Gate, ...], window: dict[int, tuple[int, int]], k: int) -> list[tuple]:
+def _blocks(gates: tuple[Gate, ...], window: dict[int, tuple[int, int]], k: int) -> Iterator[tuple]:
     """The swap-elided gates as blocks (diagonal, window, body), in order.
 
     Each block applies the B gates of its diagonal, then the gates of its
@@ -333,20 +336,19 @@ def _blocks(gates: tuple[Gate, ...], window: dict[int, tuple[int, int]], k: int)
     with an A in the body: then it is deferred into the next block's
     diagonal. A B gate with one label below k and one at k or above, both
     outside the window, is deferred too, so that it reaches a block whose
-    window holds its label below k (see _block_steps). Only commutation of
+    window holds its label below k (see _block_ops). Only commutation of
     diagonal gates with each other and with A on other labels is used, so
     any circuit of A and B gates splits.
     """
     def passes(g: Gate) -> bool:
         return win is not None and g.m < k <= g.n and win not in (window[g.m], window[g.n])
 
-    blocks = []
     diag, win, body, with_a = [], None, [], set()
     deferred, blocked = [], set()
     for g in gates:
         if g.kind is GateKind.A:
             if win is not None and (window[g.m] != win or g.m in blocked):
-                blocks.append((diag, win, body))
+                yield diag, win, body
                 diag, body, with_a = deferred, [], set()
                 deferred, blocked = [], set()
             if not body:
@@ -364,15 +366,14 @@ def _blocks(gates: tuple[Gate, ...], window: dict[int, tuple[int, int]], k: int)
             blocked.update(g.labels())
         else:
             diag.append(g)
-    blocks.append((diag, win, body))
+    yield diag, win, body
     if deferred:
-        blocks.append((deferred, None, []))
-    return blocks
+        yield deferred, None, []
 
 
-def _block_steps(gates: tuple[Gate, ...], qubits: int, k: int) -> list[tuple[int, tuple]]:
-    """Steps of a plan built from dense blocks (see _blocks) for chunks of
-    2^k rows.
+def _block_ops(gates: tuple[Gate, ...], qubits: int, k: int) -> Iterator[tuple[int, tuple]]:
+    """(height, op) pairs of a plan built from dense blocks (see _blocks)
+    for chunks of 2^k rows, grouped into steps by the rule in _plan.
 
     In a block's diagonal, the B gates below k are one _DIAGONAL table. The
     body is the window's 2^w x 2^w matrix U: the plan without blocks of its
@@ -381,16 +382,15 @@ def _block_steps(gates: tuple[Gate, ...], qubits: int, k: int) -> list[tuple[int
     other label is in the window or also >= k fold into it: on chunk c
     they are a phase d_c over the window's bits, summed per chunk (see
     _fold_terms), so the chunk gets U diag(d_c). Otherwise the window
-    is a step of its own at height hi, applied to the whole array slab by
-    slab (see _run_plan). Of the rest of the diagonal, the B gates that
-    share a label s >= k and have their partner p below k are a _DIAGONAL
-    table over the partners' bit span on the chunks with bit s set (two
-    tables, one per half, if the span is wider than ceil(k/2) bits), and
-    a B gate with both labels >= k is its _CHUNK_PHASE.
+    is an op at height hi, applied to the whole array slab by slab (see
+    _run_plan). Of the rest of the diagonal, the B gates that share a label
+    s >= k and have their partner p below k are a _DIAGONAL table over the
+    partners' bit span on the chunks with bit s set (two tables, one per
+    half, if the span is wider than ceil(k/2) bits), and a B gate with both
+    labels >= k is its _CHUNK_PHASE.
     """
     cuts = sorted(set(range(0, qubits, WINDOW_QUBITS)) | {k, qubits})
     window = {m: (lo, hi) for lo, hi in zip(cuts, cuts[1:]) for m in range(lo, hi)}
-    steps, run = [], []
     for diag, win, body in _blocks(gates, window, k):
         inner, fold, partners, above = [], [], {}, []
         for g in diag:
@@ -404,30 +404,21 @@ def _block_steps(gates: tuple[Gate, ...], qubits: int, k: int) -> list[tuple[int
                 above.append(_chunk_op(g, k))
         if inner:
             a = min(g.m for g in inner)
-            run.append(_diagonal_op([(g.m, g.n, g) for g in inner], a, max(g.n for g in inner) + 1))
+            yield k, _diagonal_op([(g.m, g.n, g) for g in inner], a, max(g.n for g in inner) + 1)
         for s, terms in sorted(partners.items()):
             a, b = min(p for p, _, _ in terms), max(p for p, _, _ in terms) + 1
             h = (a + b) // 2
             spans = [(a, b)] if b - a <= (k + 1) // 2 else [(h, b), (a, h)]
-            run.extend(_diagonal_op(terms, lo, hi, 1 << (s - k)) for lo, hi in spans)
-        run.extend(above)
+            yield from ((k, _diagonal_op(terms, lo, hi, 1 << (s - k))) for lo, hi in spans)
+        yield from ((k, op) for op in above)
         if win is None:
             continue
         lo, hi = win
         shift = tuple(range(-lo, hi - lo))
         local = Circuit(hi - lo, tuple(g.relabeled(shift) for g in body))
         unitary = _run_plan(np.eye(1 << local.qubits, dtype=np.complex128), local, False)
-        if hi > k:
-            if run:
-                steps.append((k, tuple(run)))
-                run = []
-            steps.append((hi, ((_DENSE, lo, 0, (unitary, None), 0),)))
-            continue
-        phases = _fold_terms(fold, lo, hi, k, qubits) if fold else None
-        run.append((_DENSE, lo, 0, (unitary, phases), 0))
-    if run:
-        steps.append((k, tuple(run)))
-    return steps
+        phases = _fold_terms(fold, lo, hi, k, qubits) if fold else None  # fold is empty if hi > k
+        yield max(hi, k), (_DENSE, lo, 0, (unitary, phases), 0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -435,31 +426,29 @@ def _plan(circuit: Circuit, k: int, fuse: bool) -> tuple[tuple, tuple[int, ...]]
     """The circuit as (steps, relabel) for chunks of 2^k rows.
 
     Each step is (height, ops): chunk operations applied chunk by chunk to
-    chunks of 2^height rows. The relabel follows the steps. Without
-    `fuse`, the swap-elided gates are grouped into maximal runs of
-    chunk-local gates, at height k, and an A gate on a label m >= k is a
-    one-op run at height m + 1; every amplitude then gets the same
-    operations in the same order as when the gates are applied one by one,
-    so the result is bitwise equal. With it, the plan is built from dense
-    blocks (see _block_steps), equal to the gates to rounding.
+    chunks of 2^height rows. The relabel follows the steps. Both plan
+    builders give (height, op) pairs, and one rule groups them into steps:
+    consecutive ops at height k share one step, and an op at any other
+    height is a step of its own. Without `fuse`, each swap-elided gate is
+    its chunk op at height k, or, for an A gate on a label m >= k, at
+    height m + 1; every amplitude then gets the same operations in the same
+    order as when the gates are applied one by one, so the result is
+    bitwise equal. With it, the ops come from dense blocks (see
+    _block_ops), equal to the gates to rounding.
     """
     elided = elide_swaps(circuit)
     if fuse:
-        return tuple(_block_steps(elided.gates, circuit.qubits, k)), elided.relabel
-    steps: list[tuple[int, tuple]] = []
-    run: list[tuple] = []
-    for g in elided.gates:
-        op = _chunk_op(g, k)
-        if op is not None:
-            run.append(op)
-            continue
-        if run:
-            steps.append((k, tuple(run)))
-            run = []
-        steps.append((g.m + 1, (_chunk_op(g, g.m + 1),)))
-    if run:
-        steps.append((k, tuple(run)))
-    return tuple(steps), elided.relabel
+        ops = _block_ops(elided.gates, circuit.qubits, k)
+    else:
+        ops = ((h, _chunk_op(g, h)) for g in elided.gates
+               for h in [max(k, g.m + 1) if g.kind is GateKind.A else k])
+    steps: list[tuple[int, list]] = []
+    for height, op in ops:
+        if height == k and steps and steps[-1][0] == k:
+            steps[-1][1].append(op)
+        else:
+            steps.append((height, [op]))
+    return tuple((height, tuple(run)) for height, run in steps), elided.relabel
 
 
 def _chunk_qubits(size: int, qubits: int) -> int:
@@ -538,8 +527,8 @@ def _run_plan(arr: np.ndarray, circuit: Circuit, fuse: bool) -> np.ndarray:
         runs.append((functools.partial(_apply_run, arr, ops, height, slabs),
                      slabs << (qubits - height)))
     # Per-gate plans stay in the calling thread. On the pool they cut the
-    # L = 9 spectrum's time by 7% but raised its peak RSS by 7 MiB, the
-    # freed chunk temporaries that the workers' malloc arenas keep.
+    # L = 9 spectrum's time by 7-11% but raised its peak RSS by 7 MiB, a
+    # rise that a per-worker hadamard scratch did not remove.
     kernels.run_chunks(runs, fuse)
     if relabel != identity_permutation(qubits):
         arr = kernels.permute_bits(arr, qubits, relabel)

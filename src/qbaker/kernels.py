@@ -204,28 +204,27 @@ def hadamard(arr: np.ndarray, qubits: int, m: int) -> None:
     np.multiply(t, INV_SQRT2, out=a)
 
 
-def cond_phase(arr: np.ndarray, qubits: int, m: int, n: int, angle: float) -> None:
-    """Multiply amplitudes whose bits m and n are both 1 by e^{i*angle}."""
+def _pair_view(arr: np.ndarray, qubits: int, m: int, n: int, what: str) -> np.ndarray:
+    # arr as (high, bit n, middle, bit m, low) for labels m < n, given in either order.
     if m > n:
         m, n = n, m
     _check_label(qubits, m)
     _check_label(qubits, n)
     if m == n:
-        raise DomainError("conditional phase needs two distinct qubits")
+        raise DomainError(f"{what} needs two distinct qubits")
+    return arr.reshape(1 << (qubits - 1 - n), 2, 1 << (n - 1 - m), 2, arr.size >> (qubits - m))
+
+
+def cond_phase(arr: np.ndarray, qubits: int, m: int, n: int, angle: float) -> None:
+    """Multiply amplitudes whose bits m and n are both 1 by e^{i*angle}."""
+    view = _pair_view(arr, qubits, m, n, "conditional phase")
     phase = complex(math.cos(angle), math.sin(angle))
-    view = arr.reshape(1 << (qubits - 1 - n), 2, 1 << (n - 1 - m), 2, arr.size >> (qubits - m))
     _multiply(view[:, 1, :, 1, :], phase, arr.size >> qubits)
 
 
 def swap_bits(arr: np.ndarray, qubits: int, m: int, n: int) -> None:
     """Exchange bits m and n of the basis index (amplitude permutation)."""
-    if m > n:
-        m, n = n, m
-    _check_label(qubits, m)
-    _check_label(qubits, n)
-    if m == n:
-        raise DomainError("swap needs two distinct qubits")
-    view = arr.reshape(1 << (qubits - 1 - n), 2, 1 << (n - 1 - m), 2, arr.size >> (qubits - m))
+    view = _pair_view(arr, qubits, m, n, "swap")
     a = view[:, 0, :, 1, :]
     b = view[:, 1, :, 0, :]
     t = a.copy()

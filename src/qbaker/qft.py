@@ -23,7 +23,7 @@ import functools
 
 import numpy as np
 
-from .errors import DomainError, SizeError, check_count
+from .errors import DomainError, SizeError, check_count, check_integer
 from .gates import (
     MAX_DENSE_QUBITS,
     Circuit,
@@ -80,7 +80,7 @@ def qft_block_circuit(qubits: int, low_qubits: int | None = None) -> Circuit:
     be qubits - 1.
     """
     qubits = check_count(qubits, "qubit count", 2)
-    if low_qubits not in (None, qubits - 1):
+    if low_qubits is not None and check_integer(low_qubits, "low_qubits") != qubits - 1:
         raise DomainError(f"low_qubits must be {qubits - 1}, got {low_qubits}")
     return Circuit(qubits, qft_circuit(qubits - 1).gates)
 

@@ -458,6 +458,8 @@ def test_count_arguments_take_numpy_integers():
     (lambda: a_gate(1.5), "qubit label must be an integer, got 1.5"),
     (lambda: b_gate(0, 1, span=1.5), "phase exponent must be an integer, got 1.5"),
     (lambda: Circuit(2, (), (0.0, 1.0)), "relabel entry must be an integer, got 0.0"),
+    (lambda: qft_block_circuit(2, True), "low_qubits must be an integer, got True"),
+    (lambda: qft_block_circuit(3, 2.0), "low_qubits must be an integer, got 2.0"),
 ])
 def test_integer_arguments_refuse_other_values(call, message):
     with pytest.raises(DomainError, match=message):

@@ -70,6 +70,13 @@ def test_b_gate_symmetric_in_labels():
     assert b_gate(2, 0, conjugated=True) == b_gate(0, 2, conjugated=True)
 
 
+def test_conjugated_flag_is_stored_as_a_bool():
+    g = b_gate(0, 1, conjugated=np.True_)
+    assert g.conjugated is True
+    assert g == b_gate(0, 1, conjugated=True)
+    assert g.inverse().inverse() == g
+
+
 def test_swap_gate_exchanges_bits():
     out = apply_gate(basis_state(2, 1), swap_gate(0, 1))
     assert out.amplitudes[2] == 1.0
@@ -106,9 +113,13 @@ def test_gate_label_validation():
     (lambda: concat(Circuit(2, ()), Circuit(3, ())), "different widths"),
     (lambda: baker_circuit(0), "qubit count must be >= 1, got 0"),
     (lambda: qft_circuit(0), "qubit count must be >= 1, got 0"),
+    (lambda: b_gate(0, 1, conjugated="no"), "conjugated must be a bool, got 'no'"),
+    (lambda: Gate(GateKind.A, 0, conjugated=0), "conjugated must be a bool, got 0"),
+    (lambda: Gate(GateKind.B, 0, 1, conjugated=1), "conjugated must be a bool, got 1"),
 ], ids=["negative A label", "negative B label", "A with two labels", "conjugated A",
         "conjugated SWAP", "span on A", "span on SWAP", "b_angle of A", "no qubits",
-        "concat widths", "baker no qubits", "qft no qubits"])
+        "concat widths", "baker no qubits", "qft no qubits", "string conjugated",
+        "integer conjugated A", "integer conjugated B"])
 def test_invalid_gates_and_circuits_are_domain_errors(build, message):
     with pytest.raises(DomainError, match=message):
         build()

@@ -374,10 +374,10 @@ def _dense_product(arr: np.ndarray, circuit) -> np.ndarray:
 
 
 @st.composite
-def _random_circuits(draw, max_qubits: int = 10) -> Circuit:
+def _random_circuits(draw, max_qubits: int = 10, min_qubits: int = 1) -> Circuit:
     """A, B of both signs and with spans other than n - m, Swap, and a
     relabel."""
-    qubits = draw(st.integers(1, max_qubits))
+    qubits = draw(st.integers(min_qubits, max_qubits))
     label = st.integers(0, qubits - 1)
     span = st.none() | st.integers(1, qubits + 2)
     size = draw(st.integers(0, 40))
@@ -419,6 +419,26 @@ def test_random_circuits_through_every_plan_path(circuit, cols, data):
     assert _column_error(got, dense) <= 1e-12
     steps, _ = gates._plan(circuit, k, True)
     assert not any(op[0] == gates._HADAMARD for _, ops in steps for op in ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=_random_circuits(max_qubits=12, min_qubits=2))
+def test_plan_steps_group_runs_at_the_chunk_height(circuit):
+    # Consecutive ops at height k share one step, and an op at any other
+    # height (an A gate above k, or a dense window above k) is a step of
+    # its own. Without blocks the ops are the swap-elided gates, in order.
+    elided = gates.elide_swaps(circuit).gates
+    for k, fuse in itertools.product(range(1, circuit.qubits + 1), (False, True)):
+        steps, _ = gates._plan(circuit, k, fuse)
+        heights = [height for height, _ in steps]
+        assert (k, k) not in zip(heights, heights[1:])
+        alone = gates._DENSE if fuse else gates._HADAMARD
+        for height, ops in steps:
+            if height != k:
+                assert height > k and len(ops) == 1 and ops[0][0] == alone
+        if not fuse:
+            ops = [op for _, run in steps for op in run]
+            assert ops == [gates._chunk_op(g, k) or gates._chunk_op(g, g.m + 1) for g in elided]
 
 
 def test_no_fused_op_below_fuse_min_qubits(monkeypatch):
