@@ -277,7 +277,9 @@ def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
     unperturbed trajectory, kicked by zero angles, and columns 1..M the
     members. Each step is recorded from one contiguous copy of the columns
     as rows: fidelities, norms and position probabilities come from those
-    rows. The output is bitwise reproducible from the config. Below
+    rows. The output is bitwise reproducible from the config (from 14 qubits
+    on, also at a given OpenBLAS thread count: `random_state`'s norm and the
+    record's `np.vdot` are OpenBLAS dot products). Below
     `gates.FUSE_MIN_QUBITS` every column gets the bits it would get evolved
     on its own, so the output is also independent of batching; from there on
     the execution plan is built from dense blocks, and every column agrees

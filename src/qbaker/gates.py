@@ -77,7 +77,10 @@ class Gate:
     span: int | None = None
 
     def __post_init__(self) -> None:
-        if any(check_integer(q, "qubit label") < 0 for q in self.labels()):
+        object.__setattr__(self, "m", check_integer(self.m, "qubit label"))
+        if self.n is not None:
+            object.__setattr__(self, "n", check_integer(self.n, "qubit label"))
+        if any(q < 0 for q in self.labels()):
             raise DomainError("qubit labels must be non-negative")
         if not isinstance(self.conjugated, (bool, np.bool_)):
             raise DomainError(f"conjugated must be a bool, got {self.conjugated!r}")
@@ -343,27 +346,22 @@ def _blocks(gates: tuple[Gate, ...], window: dict[int, tuple[int, int]], k: int)
     def passes(g: Gate) -> bool:
         return win is not None and g.m < k <= g.n and win not in (window[g.m], window[g.n])
 
-    diag, win, body, with_a = [], None, [], set()
-    deferred, blocked = [], set()
+    diag, win, body, deferred = [], None, [], []
     for g in gates:
         if g.kind is GateKind.A:
-            if win is not None and (window[g.m] != win or g.m in blocked):
+            if win is not None and (window[g.m] != win
+                                    or any(g.m in h.labels() for h in deferred)):
                 yield diag, win, body
-                diag, body, with_a = deferred, [], set()
-                deferred, blocked = [], set()
+                diag, body, deferred = deferred, [], []
             if not body:
                 win = window[g.m]
                 deferred = [h for h in diag if passes(h)]
                 diag = [h for h in diag if not passes(h)]
             body.append(g)
-            with_a.add(g.m)
         elif win is not None and win[0] <= g.m and g.n < win[1]:
             body.append(g)
-        elif passes(g):
+        elif passes(g) or any(h.kind is GateKind.A and h.m in g.labels() for h in body):
             deferred.append(g)
-        elif with_a.intersection(g.labels()):
-            deferred.append(g)
-            blocked.update(g.labels())
         else:
             diag.append(g)
     yield diag, win, body
@@ -376,18 +374,18 @@ def _block_ops(gates: tuple[Gate, ...], qubits: int, k: int) -> Iterator[tuple[i
     for chunks of 2^k rows, grouped into steps by the rule in _plan.
 
     In a block's diagonal, the B gates below k are one _DIAGONAL table. The
-    body is the window's 2^w x 2^w matrix U: the plan without blocks of its
-    window-local gates, applied to the identity. If the window lies below
-    k, U is a chunk op, and the diagonal's B gates with a label >= k whose
-    other label is in the window or also >= k fold into it: on chunk c
-    they are a phase d_c over the window's bits, summed per chunk (see
-    _fold_terms), so the chunk gets U diag(d_c). Otherwise the window
-    is an op at height hi, applied to the whole array slab by slab (see
-    _run_plan). Of the rest of the diagonal, the B gates that share a label
-    s >= k and have their partner p below k are a _DIAGONAL table over the
-    partners' bit span on the chunks with bit s set (two tables, one per
-    half, if the span is wider than ceil(k/2) bits), and a B gate with both
-    labels >= k is its _CHUNK_PHASE.
+    body is the window's 2^w x 2^w matrix U: its window-local gates applied
+    in order to the identity. If the window lies below k, U is a chunk op,
+    and the diagonal's B gates with a label >= k whose other label is in
+    the window or also >= k fold into it: on chunk c they are a phase d_c
+    over the window's bits, summed per chunk (see _fold_terms), so the
+    chunk gets U diag(d_c). Otherwise the window is an op at height hi,
+    applied to the whole array slab by slab (see _apply_circuit_array). Of
+    the rest of the diagonal, the B gates that share a label s >= k and
+    have their partner p below k are a _DIAGONAL table over the partners'
+    bit span on the chunks with bit s set (two tables, one per half, if the
+    span is wider than ceil(k/2) bits), and a B gate with both labels >= k
+    is its _CHUNK_PHASE.
     """
     cuts = sorted(set(range(0, qubits, WINDOW_QUBITS)) | {k, qubits})
     window = {m: (lo, hi) for lo, hi in zip(cuts, cuts[1:]) for m in range(lo, hi)}
@@ -414,9 +412,13 @@ def _block_ops(gates: tuple[Gate, ...], qubits: int, k: int) -> Iterator[tuple[i
         if win is None:
             continue
         lo, hi = win
-        shift = tuple(range(-lo, hi - lo))
-        local = Circuit(hi - lo, tuple(g.relabeled(shift) for g in body))
-        unitary = _run_plan(np.eye(1 << local.qubits, dtype=np.complex128), local, False)
+        w = hi - lo
+        unitary = np.eye(1 << w, dtype=np.complex128)
+        for g in body:
+            if g.kind is GateKind.A:
+                kernels.hadamard(unitary, w, g.m - lo)
+            else:
+                kernels.cond_phase(unitary, w, g.m - lo, g.n - lo, b_angle(g))
         phases = _fold_terms(fold, lo, hi, k, qubits) if fold else None  # fold is empty if hi > k
         yield max(hi, k), (_DENSE, lo, 0, (unitary, phases), 0)
 
@@ -501,17 +503,12 @@ def _room(dim: int) -> int:
 
 def _apply_circuit_array(arr: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply the circuit to the leading axis of `arr` through its cached
-    plan; may return a new array."""
-    return _run_plan(arr, circuit, circuit.qubits >= FUSE_MIN_QUBITS)
-
-
-def _run_plan(arr: np.ndarray, circuit: Circuit, fuse: bool) -> np.ndarray:
-    """As _apply_circuit_array, through the block plan if `fuse`. The
-    blocks' own matrices are built with `fuse` off. An array with no
-    columns is returned as it is."""
+    plan, built from dense blocks from FUSE_MIN_QUBITS on; may return a
+    new array. An array with no columns is returned as it is."""
     if not arr.size:
         return arr
     qubits = circuit.qubits
+    fuse = qubits >= FUSE_MIN_QUBITS
     k = _chunk_qubits(arr.size, qubits)
     steps, relabel = _plan(circuit, k, fuse)
     runs = []
@@ -588,16 +585,13 @@ def elide_swaps(circuit: Circuit) -> Circuit:
     Remaining gates have their labels rewritten through the accumulated
     permutation; the output realizes the identical unitary.
     """
-    sigma = list(identity_permutation(circuit.qubits))   # swaps absorbed so far
-    inv = list(sigma)                                    # sigma^{-1}, kept in step
+    inv = list(identity_permutation(circuit.qubits))  # sigma^{-1}, sigma the swaps so far
     out: list[Gate] = []
     for g in circuit.gates:
         if g.kind is GateKind.SWAP:
-            m, n = g.m, g.n
-            # sigma := t_{mn} o sigma  (swap the two values wherever they occur)
-            sigma = [n if v == m else m if v == n else v for v in sigma]
-            inv[m], inv[n] = inv[n], inv[m]
+            # sigma := t_{mn} o sigma, that is sigma^{-1} := sigma^{-1} o t_{mn}
+            inv[g.m], inv[g.n] = inv[g.n], inv[g.m]
         else:
             out.append(g.relabeled(tuple(inv)))
-    relabel = compose_permutations(circuit.relabel, tuple(sigma))
+    relabel = compose_permutations(circuit.relabel, inverse_permutation(tuple(inv)))
     return Circuit(circuit.qubits, tuple(out), relabel)

@@ -27,6 +27,7 @@ from qbaker import (
     random_state,
     swap_gate,
 )
+from qbaker import gates
 from qbaker.gates import inverse_permutation
 
 from oracles import is_unitary
@@ -75,6 +76,18 @@ def test_conjugated_flag_is_stored_as_a_bool():
     assert g.conjugated is True
     assert g == b_gate(0, 1, conjugated=True)
     assert g.inverse().inverse() == g
+
+
+def test_labels_and_span_are_stored_as_ints():
+    # A numpy label is stored as the Python int it equals, so the phase
+    # exponent n - m is an int too and 1 << span cannot overflow.
+    g = b_gate(np.int64(0), np.int64(70))
+    assert all(type(v) is int for v in (g.m, g.n, g.span))
+    assert g == b_gate(0, 70)
+    assert b_angle(g) == b_angle(b_gate(0, 70)) > 0
+    assert gates._angle_units(b_gate(np.int64(0), np.int64(5))) == 1 << 58
+    assert type(a_gate(np.int64(2)).m) is int
+    assert all(type(q) is int for q in swap_gate(np.int64(3), np.int64(1)).labels())
 
 
 def test_swap_gate_exchanges_bits():

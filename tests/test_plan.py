@@ -488,6 +488,15 @@ def test_cached_plan_lookup_hashes_no_gate(monkeypatch):
     assert calls["gate"] == len(circuit.gates)
 
 
+def test_block_plan_build_adds_one_cache_entry():
+    # A window's unitary comes from its own gates, not from a plan of its
+    # own: building a block plan leaves only that plan in the cache.
+    for qubits, k in [(20, 16), (22, 16), (14, 7)]:
+        gates._plan.cache_clear()
+        gates._plan(baker_circuit(qubits), k, True)
+        assert gates._plan.cache_info().currsize == 1
+
+
 def _in_child(target, *args, timeout: float = 60.0) -> int | None:
     """Exit code of target(*args) in a forked child; a child still running
     after `timeout` seconds (a deadlocked pool) is killed and fails."""
