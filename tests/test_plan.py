@@ -345,6 +345,38 @@ def test_chunked_block_plan_bytes_are_pinned():
     assert hashlib.sha256(got.tobytes()).hexdigest() == ITERATE_18_SHA256
 
 
+# sha256 of the output bytes of baker_circuit(L) and qft_circuit(L) through
+# the plan, on seeded (D, M) inputs left unnormalized (np.linalg.norm's bits
+# follow the OpenBLAS thread count). These are equal with 1 and 2 kernel
+# workers. Below FUSE_MIN_QUBITS they are the gate loop's bits; from 11
+# qubits on they belong to this plan, and a change that cuts blocks
+# differently re-pins them.
+PLAN_OUTPUT_SHA256 = {
+    (3, 201): ("4a2462d19e2de7bca9bd714212da3cadc02c902c24cd3761edaadf64ca85b7f4",
+               "e914dc340cd91e3bdbb95358ff25f04c800fb0f921ce7cd007ae2a390e42de98"),
+    (9, 512): ("84b90b24a5e2798f8f4370f066a216f8ef1b384cf0aae250ab8cd362771e0ec1",
+               "cb8fcbe5d4d6e68e310d333bb124a49eb650ca201418ca72a06507e3ba4eae9b"),
+    (11, 50): ("84e98ce0c48c205ebc9fdadaa190cec34811098a48df3b3c907b76801f2265b6",
+               "c07d58bfc3e4922168fb4fb0f7f46d23cb2834c53ac57aaf58d6ec9486baa3f8"),
+    (14, 33): ("0da3ef3d9082c01d4398844764de5d3aa2dab3998da9b793e79172aa63a9fb11",
+               "5ec1cd500ffe3311bc53f76338d93e61334a971c369f19f141dd5a5209007c0f"),
+    (17, 1): ("24d3aab8d9e7e9426567733ee423146ea04bcbf2da97621bf9c35f2ee6a0f59f",
+              "db4dbde2e86afc1c429bfa64b2edaccb32aa96c9acf76ca9d74f5c8378eff793"),
+    (18, 3): ("5756bc1bf29a68481e9350ef7b5e5cc415af4370cd141ebbfd2ab3e58a5633f2",
+              "ea90ac96615895d54682e770a0e00bde1447f8be47d6dce98cb9959e59730c6e"),
+}
+
+
+@pytest.mark.parametrize("qubits, cols", list(PLAN_OUTPUT_SHA256))
+def test_plan_output_bytes_are_pinned(qubits, cols):
+    rng = np.random.default_rng(1000 * qubits + cols)
+    shape = (1 << qubits, cols)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = tuple(hashlib.sha256(gates._apply_circuit_array(arr.copy(), build(qubits)).tobytes())
+                .hexdigest() for build in (baker_circuit, qft_circuit))
+    assert got == PLAN_OUTPUT_SHA256[qubits, cols]
+
+
 def _gate_matrix(g: Gate, qubits: int) -> np.ndarray:
     """Dense matrix of one gate, written from the gate's definition."""
     idx = np.arange(1 << qubits)
