@@ -186,10 +186,11 @@ def _power_sums(lam: np.ndarray, out: np.ndarray) -> None:
         base *= table[-1]
 
 
-def _kick(arr: np.ndarray, qubits: int, angles) -> None:
+def _kick(arr: np.ndarray, qubits: int, angles: np.ndarray) -> None:
     # angles[k] is one angle for qubit k, or one per column of arr.
+    phases = np.exp(1j * angles)
     for k in range(qubits):
-        kernels.phase_on_one(arr, qubits, k, angles[k])
+        kernels.phase_on_one(arr, qubits, k, phases[k])
 
 
 def phase_kick(state: StateVector, angles: np.ndarray) -> StateVector:
@@ -312,9 +313,8 @@ def _echo_batch(cfg: EchoConfig, members: range) -> list[TrajectoryRecord]:
         rows = np.ascontiguousarray(cols.T)
         sq = np.array([np.vdot(row, row).real for row in rows])
         norms[:, t] = np.sqrt(sq)
-        for i in range(1, 1 + count):
-            z = np.vdot(rows[0], rows[i])
-            fid[i - 1, t] = (z.real * z.real + z.imag * z.imag) / (sq[0] * sq[i])
+        z = np.array([np.vdot(rows[0], row) for row in rows[1:]])
+        fid[:, t] = (z.real * z.real + z.imag * z.imag) / (sq[0] * sq[1:])
         pos_ent[:, t] = distribution_entropy(position_distribution(rows[1:].T).T)
         mom_ent[:, t] = distribution_entropy(momentum_distribution(cols[:, 1:]).T)
 

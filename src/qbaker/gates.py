@@ -38,6 +38,7 @@ work units the kernel workers share out: chunks, or those slabs.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import mmap
@@ -227,10 +228,10 @@ WINDOW_QUBITS = 4
 # freed: benchmark runs of L = 20 steps peaked 10-16 MiB higher.
 _MMAP_BYTES = 1 << 17
 
-# Chunk operations: (kind, m, n, value, mask). The value is the angle, the
-# phase itself for a whole-chunk phase, the table of a diagonal or the
-# matrix of a dense block; the operation acts on the chunks whose index has
-# every bit of the mask set.
+# Chunk operations: (kind, m, n, value, mask). The value is the phase
+# e^{i*angle} of a B gate, the table of a diagonal or the matrix of a dense
+# block; the operation acts on the chunks whose index has every bit of the
+# mask set.
 _HADAMARD, _COND_PHASE, _PHASE_ON_ONE, _CHUNK_PHASE, _DIAGONAL, _DENSE = range(6)
 
 
@@ -242,12 +243,11 @@ def _chunk_op(gate: Gate, k: int) -> tuple | None:
     and nothing. Swap-elided circuits hold only A and B gates."""
     if gate.kind is GateKind.A:
         return (_HADAMARD, gate.m, 0, 0.0, 0) if gate.m < k else None
-    angle = b_angle(gate)
+    phase = cmath.rect(1.0, b_angle(gate))
     if gate.n < k:
-        return (_COND_PHASE, gate.m, gate.n, angle, 0)
+        return (_COND_PHASE, gate.m, gate.n, phase, 0)
     if gate.m < k:
-        return (_PHASE_ON_ONE, gate.m, 0, angle, 1 << (gate.n - k))
-    phase = complex(math.cos(angle), math.sin(angle))
+        return (_PHASE_ON_ONE, gate.m, 0, phase, 1 << (gate.n - k))
     return (_CHUNK_PHASE, 0, 0, phase, (1 << (gate.m - k)) | (1 << (gate.n - k)))
 
 
@@ -418,7 +418,7 @@ def _block_ops(gates: tuple[Gate, ...], qubits: int, k: int) -> Iterator[tuple[i
             if g.kind is GateKind.A:
                 kernels.hadamard(unitary, w, g.m - lo)
             else:
-                kernels.cond_phase(unitary, w, g.m - lo, g.n - lo, b_angle(g))
+                kernels.cond_phase(unitary, w, g.m - lo, g.n - lo, cmath.rect(1.0, b_angle(g)))
         phases = _fold_terms(fold, lo, hi, k, qubits) if fold else None  # fold is empty if hi > k
         yield max(hi, k), (_DENSE, lo, 0, (unitary, phases), 0)
 

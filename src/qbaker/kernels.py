@@ -3,14 +3,15 @@
 Each kernel touches every amplitude a constant number of times (O(D) per
 gate) and never forms a D x D matrix. Arrays may be shape (D,) for a state
 or (D, M) for M columns sharing the transformation (only `phase_on_one`
-also takes one angle per column); the leading axis is the basis index and
+also takes one phase per column); the leading axis is the basis index and
 C-order layout lets every kernel reshape it into (high bits, target bit,
-rest) blocks. Each column of a (D, M) array gets the bits it would get as
-a (D,) state on its own. (The execution plan in `gates` keeps that
-guarantee only below `gates.FUSE_MIN_QUBITS`. From there on it applies
-`diagonal` phase tables and `dense_block` products on windows of 4
-labels in place of the per-gate kernels; they agree with the gates to
-1e-12.)
+rest) blocks. Phase kernels multiply by the phase e^{i*angle} itself, so
+each angle is turned into a phase once, by whoever makes it. Each column
+of a (D, M) array gets the bits it would get as a (D,) state on its own.
+(The execution plan in `gates` keeps that guarantee only below
+`gates.FUSE_MIN_QUBITS`. From there on it applies `diagonal` phase tables
+and `dense_block` products on windows of 4 labels in place of the
+per-gate kernels; they agree with the gates to 1e-12.)
 
 The kernels are serial, apart from the BLAS threads of the matrix
 products in `dense_block`. Threads come from the execution plan in `gates`:
@@ -215,10 +216,9 @@ def _pair_view(arr: np.ndarray, qubits: int, m: int, n: int, what: str) -> np.nd
     return arr.reshape(1 << (qubits - 1 - n), 2, 1 << (n - 1 - m), 2, arr.size >> (qubits - m))
 
 
-def cond_phase(arr: np.ndarray, qubits: int, m: int, n: int, angle: float) -> None:
-    """Multiply amplitudes whose bits m and n are both 1 by e^{i*angle}."""
+def cond_phase(arr: np.ndarray, qubits: int, m: int, n: int, phase: complex) -> None:
+    """Multiply amplitudes whose bits m and n are both 1 by `phase`."""
     view = _pair_view(arr, qubits, m, n, "conditional phase")
-    phase = complex(math.cos(angle), math.sin(angle))
     _multiply(view[:, 1, :, 1, :], phase, arr.size >> qubits)
 
 
@@ -232,24 +232,17 @@ def swap_bits(arr: np.ndarray, qubits: int, m: int, n: int) -> None:
     b[...] = t
 
 
-def phase_on_one(arr: np.ndarray, qubits: int, m: int, angle: float | np.ndarray) -> None:
-    """Apply diag(1, e^{i*angle}) on qubit m.
+def phase_on_one(arr: np.ndarray, qubits: int, m: int, phase: complex | np.ndarray) -> None:
+    """Apply diag(1, phase) on qubit m.
 
-    `angle` is one float for every column, or a 1-D array holding one angle
-    per column of a (D, M) array.
+    `phase` is one complex number for every column, or a 1-D array holding
+    one phase per column of a (D, M) array.
     """
     _check_label(qubits, m)
-    hi = 1 << (qubits - 1 - m)
     cols = arr.size >> qubits
-    if np.ndim(angle) == 0:
-        phase = complex(math.cos(angle), math.sin(angle))
-        view = arr.reshape(hi, 2, arr.size >> (qubits - m))
-    else:
-        if np.shape(angle) != (cols,):
-            raise DomainError(f"need one angle per column of {arr.shape}, got {np.shape(angle)}")
-        phase = np.array([complex(math.cos(a), math.sin(a)) for a in angle])
-        view = arr.reshape(hi, 2, 1 << m, cols)
-    _multiply(view[:, 1], phase, cols)
+    if np.ndim(phase) and np.shape(phase) != (cols,):
+        raise DomainError(f"need one phase per column of {arr.shape}, got {np.shape(phase)}")
+    _multiply(arr.reshape(1 << (qubits - 1 - m), 2, 1 << m, cols)[:, 1], phase, cols)
 
 
 def diagonal(arr: np.ndarray, qubits: int, m: int, table: np.ndarray) -> None:

@@ -19,7 +19,14 @@ from qbaker import (
     iterate,
     set_num_threads,
 )
-from qbaker.cli import _PEAK_BYTES, build_parser, main
+from qbaker.cli import (
+    _PEAK_BYTES,
+    ECHO_COLUMN_BYTES,
+    ECHO_MEMBER_BYTES,
+    ECHO_ROW_BYTES,
+    build_parser,
+    main,
+)
 from qbaker.io import (
     RunManifest,
     manifest_path,
@@ -453,6 +460,32 @@ def test_output_size_guard_counts_records_and_text(capsys, monkeypatch):
     assert code == 0 and stdout.count("\n") == 201
     code, _, err = run(capsys, *echo, "--steps", "799")
     assert code == 1 and "physical memory" in err and err.count("\n") == 1
+
+
+def _echo_peak(out: Path, qubits: int, steps: int, ensemble: int) -> int:
+    """tracemalloc peak of one in-process `echo` run writing to `out`."""
+    tracemalloc.start()
+    try:
+        code = main(["echo", "--qubits", str(qubits), "--steps", str(steps), "--delta", "0.05",
+                     "--ensemble", str(ensemble), "--seed", "3", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_echo_peak_slopes_are_within_the_size_model(tmp_path):
+    # The slopes the size model's echo constants stand for, measured as in
+    # their comments: per amplitude of each of the 3 columns (the reference
+    # and 2 members) from L = 15 to 16, and per member at L = 3, where the
+    # records and the CSV text outgrow the columns.
+    out = tmp_path / "echo.csv"
+    low, high = _echo_peak(out, 15, 2, 2), _echo_peak(out, 16, 2, 2)
+    assert (high - low) / (3 << 15) <= ECHO_COLUMN_BYTES
+    qubits, steps = 3, 5
+    low, high = _echo_peak(out, qubits, steps, 1000), _echo_peak(out, qubits, steps, 2000)
+    assert (high - low) / 1000 <= ECHO_MEMBER_BYTES + (steps + 1) * (ECHO_ROW_BYTES + 8 * qubits)
 
 
 def test_echo_writes_csv_and_manifest(tmp_path, capsys):

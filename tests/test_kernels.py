@@ -1,3 +1,4 @@
+import cmath
 import gc
 import hashlib
 import importlib
@@ -48,8 +49,8 @@ def test_hadamard_matches_two_by_two():
 
 def test_cond_phase_touches_only_both_bits_set():
     arr = np.ones(8, dtype=complex)
-    cond_phase(arr, 3, 0, 2, np.pi / 4)
     phase = np.exp(1j * np.pi / 4)
+    cond_phase(arr, 3, 0, 2, phase)
     for j in range(8):
         expect = phase if (j & 1 and j & 4) else 1.0
         assert arr[j] == pytest.approx(expect, abs=1e-15)
@@ -64,7 +65,7 @@ def test_swap_bits_permutes_indices():
         assert arr[j] == src
 
 
-@pytest.mark.parametrize("kernel, args", [(cond_phase, (0.7,)), (swap_bits, ())])
+@pytest.mark.parametrize("kernel, args", [(cond_phase, (cmath.rect(1.0, 0.7),)), (swap_bits, ())])
 def test_two_label_kernels_take_labels_in_either_order(kernel, args):
     rng = np.random.default_rng(4)
     arr = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
@@ -79,7 +80,7 @@ def test_two_label_kernels_take_labels_in_either_order(kernel, args):
 
 def test_phase_on_one():
     arr = np.ones(4, dtype=complex)
-    phase_on_one(arr, 2, 1, np.pi / 2)
+    phase_on_one(arr, 2, 1, cmath.rect(1.0, np.pi / 2))
     assert np.allclose(arr, [1, 1, 1j, 1j], atol=1e-15)
 
 
@@ -135,15 +136,17 @@ def test_batched_kernels_match_column_by_column_bitwise(qubits, cols):
     for _ in range(16):
         batch = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
         cases = [(hadamard, (m,)) for m in range(qubits)]
-        cases += [(cond_phase, (m, n, rng.uniform(-np.pi, np.pi))) for m, n in pairs]
+        cases += [(cond_phase, (m, n, cmath.rect(1.0, rng.uniform(-np.pi, np.pi))))
+                  for m, n in pairs]
         cases += [(swap_bits, pair) for pair in pairs]
-        cases += [(phase_on_one, (m, rng.uniform(-np.pi, np.pi, cols))) for m in range(qubits)]
+        cases += [(phase_on_one, (m, np.exp(1j * rng.uniform(-np.pi, np.pi, cols))))
+                  for m in range(qubits)]
         for kernel, args in cases:
             got = batch.copy()
             kernel(got, qubits, *args)
             for c in range(cols):
                 col = batch[:, c].copy()
-                col_args = args[:-1] + (float(args[-1][c]),) if kernel is phase_on_one else args
+                col_args = args[:-1] + (complex(args[-1][c]),) if kernel is phase_on_one else args
                 kernel(col, qubits, *col_args)
                 assert np.array_equal(got[:, c], col), (kernel.__name__, args, c)
 
@@ -187,9 +190,9 @@ def test_diagonal_multiplies_by_table_over_bits():
         diagonal(arr, 6, 4, table)
 
 
-def test_phase_on_one_needs_one_angle_per_column():
+def test_phase_on_one_needs_one_phase_per_column():
     with pytest.raises(DomainError):
-        phase_on_one(np.ones((4, 3), dtype=complex), 2, 0, np.zeros(2))
+        phase_on_one(np.ones((4, 3), dtype=complex), 2, 0, np.ones(2, dtype=complex))
 
 
 def test_thread_count_validation():

@@ -10,6 +10,7 @@ every plan path at small sizes, with the chunk size and FUSE_MIN_QUBITS
 patched down, and are also checked against a product of per-gate dense
 matrices.
 """
+import cmath
 import hashlib
 import itertools
 import math
@@ -58,7 +59,7 @@ def _gate_loop(arr: np.ndarray, circuit) -> np.ndarray:
         if g.kind is GateKind.A:
             kernels.hadamard(arr, qubits, g.m)
         elif g.kind is GateKind.B:
-            kernels.cond_phase(arr, qubits, g.m, g.n, b_angle(g))
+            kernels.cond_phase(arr, qubits, g.m, g.n, cmath.rect(1.0, b_angle(g)))
         else:
             kernels.swap_bits(arr, qubits, g.m, g.n)
     if not circuit.has_identity_relabel():
