@@ -246,11 +246,12 @@ def matrix_json_chunks(mat: np.ndarray, qubits: int) -> Iterator[str]:
 def echo_records_to_csv(records: list[TrajectoryRecord]) -> str:
     lines = ["step,member,fidelity,pos_entropy,mom_entropy"]
     for member, rec in enumerate(records):
-        for step in range(len(rec.fidelity)):
-            lines.append(
-                f"{step},{member},{float(rec.fidelity[step])!r},"
-                f"{float(rec.position_entropy[step])!r},{float(rec.momentum_entropy[step])!r}"
-            )
+        # One tolist() per field gives the same Python floats as float() of
+        # each numpy scalar, so the same repr bytes, without a scalar per value.
+        rows = zip(rec.fidelity.tolist(), rec.position_entropy.tolist(),
+                   rec.momentum_entropy.tolist())
+        for step, (fid, pos, mom) in enumerate(rows):
+            lines.append(f"{step},{member},{fid!r},{pos!r},{mom!r}")
     return "\n".join(lines) + "\n"
 
 
