@@ -18,7 +18,7 @@ from .baker import baker_circuit, baker_matrix
 from .errors import DomainError, check_count
 from .gates import _apply_circuit_array, circuit_to_matrix
 from .qft import qft_circuit
-from .state import NORM_TOL, StateVector, random_state
+from .state import NORM_TOL, StateVector, overlap, random_state, squared_norm
 
 # `form_factor` takes n_max - 1 dense products up to this n_max and one
 # `eigh` beyond it. The `eigh` route costs as much as about 13 products at
@@ -278,9 +278,9 @@ def loschmidt_echo(cfg: EchoConfig) -> list[TrajectoryRecord]:
     unperturbed trajectory, kicked by zero angles, and columns 1..M the
     members. Each step is recorded from one contiguous copy of the columns
     as rows: fidelities, norms and position probabilities come from those
-    rows. The output is bitwise reproducible from the config (from 14 qubits
-    on, also at a given OpenBLAS thread count: `random_state`'s norm and the
-    record's `np.vdot` are OpenBLAS dot products). Below
+    rows, the norms and overlaps by `state.squared_norm` and `state.overlap`,
+    whose summation order follows the shape alone. The output is bitwise
+    reproducible from the config. Below
     `gates.FUSE_MIN_QUBITS` every column gets the bits it would get evolved
     on its own, so the output is also independent of batching; from there on
     the execution plan is built from dense blocks, and every column agrees
@@ -311,9 +311,9 @@ def _echo_batch(cfg: EchoConfig, members: range) -> list[TrajectoryRecord]:
         # Every reduction reads a column's contiguous row, as a (D,) state
         # does; one squared norm per row serves fidelity and norm.
         rows = np.ascontiguousarray(cols.T)
-        sq = np.array([np.vdot(row, row).real for row in rows])
+        sq = squared_norm(rows)
         norms[:, t] = np.sqrt(sq)
-        z = np.array([np.vdot(rows[0], row) for row in rows[1:]])
+        z = overlap(rows[0], rows[1:])
         fid[:, t] = (z.real * z.real + z.imag * z.imag) / (sq[0] * sq[1:])
         pos_ent[:, t] = distribution_entropy(position_distribution(rows[1:].T).T)
         mom_ent[:, t] = distribution_entropy(momentum_distribution(cols[:, 1:]).T)

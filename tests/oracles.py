@@ -6,7 +6,8 @@ with the gate network, its blocks or an FFT.
 
 `echo_member_replay` evolves one echo member and the unperturbed reference
 as lone states, one public step at a time, so the batched echo is checked
-against a path that shares none of its batching.
+against a path that shares none of its batching. `echo_dense_replay` does
+the same with dense matrices and `np.vdot`, sharing none of its arithmetic.
 
 The forward Fourier network carries negative conditional-phase angles.
 `resolve_phase_sign` re-derives that sign from scratch against the dense
@@ -28,6 +29,7 @@ from qbaker import (
     ParseError,
     StateVector,
     TrajectoryRecord,
+    baker_matrix,
     circuit_to_matrix,
     dft_matrix,
     distribution_entropy,
@@ -38,6 +40,7 @@ from qbaker import (
     qft_circuit,
     random_state,
 )
+from qbaker.state import overlap, squared_norm
 
 #: Sign of the conditional-phase angles that makes the gate network equal
 #: the dense position-to-momentum matrix. Resolved empirically; see
@@ -128,8 +131,10 @@ def echo_member_replay(cfg: EchoConfig, member: int) -> TrajectoryRecord:
     The initial state comes from spawn key (0,) and the member's kicks, drawn
     as a (steps, qubits) block, from spawn key (1, member). After each map
     step the member gets `phase_kick` and the reference gets nothing. Each
-    state's squared norm is vdot(psi, psi).real; the fidelity divides
-    |vdot(ref, pert)|^2 by both, and the norms are their square roots.
+    state's squared norm is `state.squared_norm`; the fidelity divides
+    |`state.overlap(ref, pert)`|^2 by both, and the norms are their square
+    roots. These are the library's sums, so the bits can match; the 1e-12
+    check against `np.vdot` is `echo_dense_replay`.
     """
     ref = pert = random_state(cfg.qubits, _philox(cfg.seed, (0,)))
     kicks = _philox(cfg.seed, (1, member)).uniform(-cfg.delta, cfg.delta, (cfg.steps, cfg.qubits))
@@ -138,13 +143,52 @@ def echo_member_replay(cfg: EchoConfig, member: int) -> TrajectoryRecord:
         if step:
             ref = iterate(ref, 1)
             pert = phase_kick(iterate(pert, 1), kicks[step - 1])
-        ref_sq = np.vdot(ref.amplitudes, ref.amplitudes).real
-        pert_sq = np.vdot(pert.amplitudes, pert.amplitudes).real
-        z = np.vdot(ref.amplitudes, pert.amplitudes)
+        ref_sq = squared_norm(ref.amplitudes)
+        pert_sq = squared_norm(pert.amplitudes)
+        z = overlap(ref.amplitudes, pert.amplitudes)
         rows.append((
             (z.real * z.real + z.imag * z.imag) / (ref_sq * pert_sq),
             distribution_entropy(position_distribution(pert)),
             distribution_entropy(momentum_distribution(pert)),
+            np.sqrt(ref_sq),
+            np.sqrt(pert_sq),
+        ))
+    return TrajectoryRecord(*(np.array(column) for column in zip(*rows)))
+
+
+def _entropy(p: np.ndarray) -> float:
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def echo_dense_replay(cfg: EchoConfig, member: int) -> TrajectoryRecord:
+    """The echo record of one member by dense algebra and `np.vdot` alone.
+
+    T is `baker_matrix`. The initial state is a complex Gaussian vector from
+    spawn key (0,), divided by `np.linalg.norm`; the member's kicks come from
+    spawn key (1, member), one step's `qubits` angles at a time, and multiply
+    amplitude j by e^{i sum_k angle_k bit_k(j)}. Momentum probabilities are
+    |np.fft.fft(psi, norm="ortho")|^2. Nothing here shares the library's
+    batching, kernels or sums, so its bits differ and it agrees to 1e-12.
+    """
+    dim = 1 << cfg.qubits
+    t = baker_matrix(cfg.qubits)
+    rng = _philox(cfg.seed, (0,))
+    psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    ref = pert = psi0 / np.linalg.norm(psi0)
+    rng = _philox(cfg.seed, (1, member))
+    bits = (np.arange(dim)[:, None] >> np.arange(cfg.qubits)) & 1
+    rows = []
+    for step in range(cfg.steps + 1):
+        if step:
+            ref, pert = t @ ref, t @ pert
+            angles = rng.uniform(-cfg.delta, cfg.delta, cfg.qubits)
+            pert = pert * np.exp(1j * (bits @ angles))
+        ref_sq, pert_sq = np.vdot(ref, ref).real, np.vdot(pert, pert).real
+        rows.append((
+            abs(np.vdot(ref, pert)) ** 2 / (ref_sq * pert_sq),
+            _entropy(np.abs(pert) ** 2),
+            _entropy(np.abs(np.fft.fft(pert, norm="ortho")) ** 2),
             np.sqrt(ref_sq),
             np.sqrt(pert_sq),
         ))

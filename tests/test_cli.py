@@ -24,6 +24,7 @@ from qbaker.cli import (
     ECHO_COLUMN_BYTES,
     ECHO_MEMBER_BYTES,
     ECHO_ROW_BYTES,
+    ITERATE_AMPLITUDE_BYTES,
     build_parser,
     main,
 )
@@ -460,6 +461,29 @@ def test_output_size_guard_counts_records_and_text(capsys, monkeypatch):
     assert code == 0 and stdout.count("\n") == 201
     code, _, err = run(capsys, *echo, "--steps", "799")
     assert code == 1 and "physical memory" in err and err.count("\n") == 1
+
+
+def _iterate_peak(out: Path, qubits: int) -> int:
+    """tracemalloc peak of one in-process `iterate` step from a basis state."""
+    tracemalloc.start()
+    try:
+        code = main(["iterate", "--qubits", str(qubits), "--basis", "5", "--steps", "1",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_iterate_peak_slope_is_within_the_size_model(tmp_path):
+    # Per amplitude from L = 15 to 16 (29 bytes measured; 29 and 33 at
+    # L = 16-17 and 17-18, which take twice as long under tracemalloc).
+    # Both sizes run the plan as one chunk, and the streamed JSON slices
+    # are the same size at both.
+    out = tmp_path / "state.json"
+    low, high = _iterate_peak(out, 15), _iterate_peak(out, 16)
+    assert (high - low) / (1 << 15) <= ITERATE_AMPLITUDE_BYTES
 
 
 def _echo_peak(out: Path, qubits: int, steps: int, ensemble: int) -> int:

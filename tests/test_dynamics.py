@@ -40,7 +40,7 @@ from qbaker import (
 from qbaker import dynamics
 from qbaker.io import circuit_to_text, echo_records_to_csv
 
-from oracles import echo_member_replay
+from oracles import echo_dense_replay, echo_member_replay
 
 
 # --- iteration -------------------------------------------------------------
@@ -568,18 +568,35 @@ def test_echo_matches_members_replayed_alone(qubits, ensemble, steps, delta, see
             assert got.tobytes() == expected.tobytes(), field.name
 
 
-# sha256 of the echo CSV, pinned from the per-member implementation. Covers
-# L=1 and L=2 (single-amplitude kernel runs), the benchmark's ensemble shape,
-# zero kicks, zero steps and L=8.
+# sha256 of the echo CSV, with norms and overlaps from `state`'s blocked
+# sums (test_echo_agrees_with_a_dense_vdot_replay checks those bits against
+# np.vdot to 1e-12). Covers L=1 and L=2 (single-amplitude kernel runs), the
+# benchmark's ensemble shape, zero kicks, zero steps and L=8.
 GOLDEN_ECHO_CSV = [
-    ((1, 20, 0.3, 50, 11), "e4d0e423961501f03a9b264892432b68b1c890977e6fdfe6c5e970e6fc1fa5f2"),
-    ((2, 15, 0.2, 20, 12), "149d97340437114d2043e2f4c77a2a833fd66e4a84fb2c9c1739b0cbc2dd0c59"),
-    ((3, 20, 0.05, 200, 7), "526aeda9bd5ba0ad6f812998dbde9f125f41274dd3e3aa8aca4264d0a967affd"),
-    ((5, 15, 0.1, 30, 2024), "37ce826943779d3b6157a5fdea0497d28362d7d200229a0879027a29cf5fb2b6"),
+    ((1, 20, 0.3, 50, 11), "d46f7cc6e1f4d4c798a606bc68a9e5cf00026baa8f2dc168067736ebe470c319"),
+    ((2, 15, 0.2, 20, 12), "500122b7f3a0ded0b8b3e14d9d6be3e42d2029190d02d5fcb9c199193047b01c"),
+    ((3, 20, 0.05, 200, 7), "1c698c0b1d022f885d5f4abba4a753035dda2a43a0ff8821307424034640dc91"),
+    ((5, 15, 0.1, 30, 2024), "95ff60a4eaa921eccdd18b7045cc1e3f976582236ee176619b4db7923d431765"),
     ((8, 10, 0.0, 12, 99), "0da8c5318d2ba2c569581c773ae86ee786eb650092e9321e20ded454f482e73f"),
-    ((8, 6, 0.05, 5, 3), "8d8e1c320e41fb7fb615ff57e2ab860b8f815c42b2622d9fcf154a373dd15db1"),
+    ((8, 6, 0.05, 5, 3), "3f431921ecfe42b8157150ac84891fb2186482e59db0598ffb981c488e2683b5"),
     ((4, 0, 0.1, 3, 5), "40c7a0e02fb6219a30cf4fd95b610f8e4cb0a742d2365e87e7df19ce1c505378"),
 ]
+
+
+@pytest.mark.parametrize(
+    "params", [p for p, _ in GOLDEN_ECHO_CSV] + [(6, 8, 0.1, 4, 6), (7, 5, 0.2, 3, 7)],
+    ids=lambda p: "L{}-steps{}-delta{}-M{}-seed{}".format(*p),
+)
+def test_echo_agrees_with_a_dense_vdot_replay(params):
+    # The goldens' bits, and L = 1..8, against arithmetic that shares
+    # nothing with the library's sums: dense T, np.vdot and np.fft.
+    cfg = EchoConfig(*params)
+    for member, rec in enumerate(loschmidt_echo(cfg)):
+        want = echo_dense_replay(cfg, member)
+        for field in dataclasses.fields(TrajectoryRecord):
+            got, expected = getattr(rec, field.name), getattr(want, field.name)
+            assert got.shape == expected.shape == (cfg.steps + 1,)
+            assert np.abs(got - expected).max() <= 1e-12, (member, field.name)
 
 
 @pytest.mark.parametrize("members", [1, 2])
@@ -590,6 +607,32 @@ def test_echo_bytes_independent_of_batching(monkeypatch, members):
     monkeypatch.setattr("qbaker.dynamics.ECHO_BATCH_AMPLITUDES", members << params[0])
     csv = echo_records_to_csv(loschmidt_echo(EchoConfig(*params)))
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib
+from qbaker import EchoConfig, loschmidt_echo, random_state
+from qbaker.io import echo_records_to_csv
+
+csv = echo_records_to_csv(loschmidt_echo(EchoConfig(14, 1, 0.05, 2, 3)))
+print(hashlib.sha256(csv.encode()).hexdigest())
+print(hashlib.sha256(random_state(14, 7).amplitudes.tobytes()).hexdigest())
+"""
+
+
+def test_echo_and_random_state_bytes_independent_of_openblas_threads():
+    # From 2^14 elements on, an OpenBLAS dot product rounds by its thread
+    # count; no amplitude sum of the library goes through one.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "QBAKER_THREADS": "1"}
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
 
 def test_echo_at_17_qubits_agrees_across_batch_widths(monkeypatch):

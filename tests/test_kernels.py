@@ -1,6 +1,5 @@
 import cmath
 import gc
-import hashlib
 import importlib
 import multiprocessing
 import os
@@ -388,23 +387,28 @@ def test_default_workers_follow_the_cgroup_quota(monkeypatch, tmp_path):
     assert kernels._cores() == cores
 
 
-def _random_state_digest() -> str:
-    # random_state normalizes with np.linalg.norm, whose threaded dot
-    # product rounds by the BLAS thread count.
-    return hashlib.sha256(random_state(14, 99).amplitudes.tobytes()).hexdigest()
+def _blas_dot_bytes() -> bytes:
+    # OpenBLAS's dot product of 2^16 entries rounds by its thread count.
+    rng = np.random.default_rng(99)
+    x = rng.standard_normal((2, 1 << 16)) + 1j * rng.standard_normal((2, 1 << 16))
+    return np.vdot(x[0], x[1]).tobytes()
 
 
 def test_block_plan_leaves_blas_as_it_found_it(two_workers):
     blas = kernels._openblas()
     if not blas:
         pytest.skip("numpy's BLAS is not an OpenBLAS with the thread functions")
-    # Two BLAS threads, so that a pin left in place shows whatever ran before.
     found = blas[1]()
-    blas[0](2)
     try:
-        before = (blas[1](), _random_state_digest())
+        blas[0](1)
+        one_thread = _blas_dot_bytes()
+        # Two BLAS threads, so that a pin left in place shows whatever ran before.
+        blas[0](2)
+        before = (blas[1](), _blas_dot_bytes())
+        if before[1] == one_thread:
+            pytest.skip("this OpenBLAS sums the probe alike on 1 and 2 threads")
         _block_plan_step()
-        after = (blas[1](), _random_state_digest())
+        after = (blas[1](), _blas_dot_bytes())
     finally:
         blas[0](found)
     assert kernels._pool is not None
